@@ -1,7 +1,8 @@
 """Command-line surface: evaluate one sum, sweep-verify, benchmark, or dump grids.
 
 Exit codes are a stable contract: 0 success/match, 1 mismatch, 2 usage,
-3 width cap, 4 I/O failure.
+3 width cap, 4 I/O failure, 5 internal error (a broken solver or
+self-check invariant).
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_MISMATCH = 1
 EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_IO = 4
+EXIT_INTERNAL = 5
 
 
 def _add_instance_flags(p: argparse.ArgumentParser) -> None:
@@ -216,6 +218,9 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_USAGE
+    except (AssertionError, RuntimeError) as ex:
+        print(f"internal error: {type(ex).__name__}: {ex}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

@@ -6,8 +6,9 @@ shape n = v2(A), t = v2(k), classify the regime by m - n against t, then
 dispatch.  Every nonzero value is a power of sqrt(2) times one or two roots
 of unity, so results are carried as sparse exact term lists and expanded to
 dense ring elements only on demand; the structured evaluation costs poly(m)
-arithmetic plus the size of the characteristic solution set it reports
-(2^(n + 2t) entries, so constant for bounded valuations).
+arithmetic at every valuation: the Large regime solves its characteristic
+congruence for the smallest root directly, without enumerating the
+2^(n + 2t + min(1, t)) solutions.
 
 Witness data (x0, the parity of lambda, h) follows the sparse value around
 so verification runs can re-derive everything from the report alone.
@@ -317,9 +318,14 @@ def characteristic_value(x: int, inst: SumInstance, chi1: Character, chi2: Chara
 def solve_characteristic(inst: SumInstance, chi1: Character, chi2: Character) -> CharSolutionSet:
     """Complete set of odd x mod 2^M_exp with C(x) = 0 mod 2^M_exp.
 
+    The test-side reference enumerator: the evaluator itself solves for the
+    smallest root directly (_smallest_root), and the tests check that root
+    and the witness independence of the value against this full set.
+
     Breadth-first bit lifting: C(x) mod 2^j depends only on x mod 2^j (the
     x-dependence sits above valuation n + t), so solutions mod 2^(j+1) are
-    found among the two lifts of each solution mod 2^j.
+    found among the two lifts of each solution mod 2^j.  The set has
+    2^(n + 2t + min(1, t)) elements, and so does the work.
     """
     p = derive(inst)
     if p.regime != REGIME_LARGE:
@@ -350,8 +356,35 @@ def solve_characteristic(inst: SumInstance, chi1: Character, chi2: Character) ->
 # ---------------------------------------------------------------------------
 # regime evaluators (inputs already normalized: A even, B odd, chi2 primitive)
 
+def _smallest_root(u: int, k1: int, t: int, w: int) -> int | None:
+    """Smallest odd x in [1, 2^w) with x^(2^t * k1) = u mod 2^w, or None.
+
+    x -> x^k1 permutes the odd residues (k1 odd), so y = u^(1/k1) is the only
+    candidate for x^(2^t), and for t = 0 it is the root.  For t >= 1 the
+    2^t-th powers are the residues = 1 mod 2^(t+2), that is 5^gamma with 2^t
+    dividing gamma; x1 = 5^(gamma / 2^t) is one root, and since the kernel of
+    x -> x^(2^t) is +-1 mod 2^(w-t), the roots are x = +-x1 mod 2^(w-t).
+    Requires w >= t + 2.
+    """
+    mod = 1 << w
+    # the odd residues mod 2^w have exponent 2^(w-2) (2 when w = 2)
+    y = pow(u, pow(k1, -1, 1 << max(w - 2, 1)), mod)
+    if t == 0:
+        return y
+    if (y - 1) & ((4 << t) - 1):
+        return None
+    _, gamma = dlog5(y, w)
+    low = 1 << (w - t)
+    x1 = pow(5, gamma >> t, low)
+    return min(x1, low - x1)
+
+
 def evaluate_large(
-    inst: SumInstance, chi1: Character, chi2: Character, x0: int | None = None
+    inst: SumInstance,
+    chi1: Character,
+    chi2: Character,
+    x0: int | None = None,
+    params: DerivedParams | None = None,
 ) -> ClosedForm:
     """m - n > 2t + 4: single characteristic witness carries the whole sum.
 
@@ -361,26 +394,40 @@ def evaluate_large(
     chi1(x0) chi2(A x0^k + B), with the half-integer power of two realized
     by sqrt(2) and steered through the eighth roots by h = 2*lambda +
     (k1 - 1) + (2^n - 1) c3 when m - n is odd.
+
+    Both coefficients of C(x) = const + coef * x^k have valuation exactly
+    n + t, so C(x) = 0 mod 2^M_exp reduces to x^k = u mod 2^w with
+    w = M_exp - n - t >= t + 2, and x0 defaults to its smallest solution.
+    params is derive(inst) when the caller already has it.
     """
-    p = derive(inst)
+    p = params or derive(inst)
     if p.regime != REGIME_LARGE:
         raise ValueError(f"not a Large-regime instance: {p.regime}")
     m, n, t = inst.m, p.n, p.t
-    if v2(chi1.c) != n + t:
+    nt = n + t
+    if v2(chi1.c) != nt:
         return _closed(CASE_ZERO_CONDITION, m, None)
     if inst.k % 2 == 0 and chi1.s != 1:
         return _closed(CASE_ZERO_CONDITION, m, None)
-    sols = solve_characteristic(inst, chi1, chi2)
-    if not sols.solutions:
-        return _closed(CASE_ZERO_CONDITION, m, None)
-    if x0 is None:
-        x0 = min(sols.solutions)
 
     m_exp = p.M_exp
-    cval = characteristic_value(x0, inst, chi1, chi2, m_exp + 1)
+    # one bit above the congruence's modulus carries lambda
+    const, coef, cmod = _c_affine(inst, chi1.c, chi2.c, p.N, n, m_exp + 1)
+    low_bits = (2 << nt) - 1
+    if const & low_bits != 1 << nt or coef & low_bits != 1 << nt:
+        raise AssertionError("characteristic coefficients lack valuation n + t")
+    w = m_exp - nt
+    u = -(const >> nt) * pow(coef >> nt, -1, 1 << w) % (1 << w)
+    root = _smallest_root(u, p.k1, t, w)
+    if root is None:
+        return _closed(CASE_ZERO_CONDITION, m, None)
+    if x0 is None:
+        x0 = root
+
+    cval = (const + coef * pow(x0, inst.k, cmod)) % cmod
     if cval % (1 << m_exp):
         raise AssertionError(f"x0={x0} does not satisfy the characteristic congruence")
-    lam = (cval >> m_exp) & 1
+    lam = cval >> m_exp
 
     mod = 1 << m
     y0 = (inst.A * pow(x0, inst.k, mod) + inst.B) % mod
@@ -396,7 +443,7 @@ def evaluate_large(
         case = CASE_LARGE_EVEN
         h = None
     else:
-        c3 = chi1.c >> (n + t)
+        c3 = chi1.c >> nt
         h = (2 * lam + (p.k1 - 1) + (pow(2, n, 8) - 1) * c3) & 7
         coeff = (sign * jacobi2(h)) << half_pow
         step8 = 1 << (r - 3)
@@ -410,7 +457,9 @@ def evaluate_large(
     return cf
 
 
-def evaluate_small(inst: SumInstance, chi1: Character, chi2: Character) -> ClosedForm:
+def evaluate_small(
+    inst: SumInstance, chi1: Character, chi2: Character, params: DerivedParams | None = None
+) -> ClosedForm:
     """t + 2 <= m - n <= 2t + 4: the sum collapses onto A + B and -A + B.
 
     All branches inherit the global necessities: chi1(-1) = 1 when k is
@@ -418,9 +467,10 @@ def evaluate_small(inst: SumInstance, chi1: Character, chi2: Character) -> Close
     m - n = t + 2 edge that means chi1 is the principal character (k even)
     or the mod-4 sign character (k odd); at m - n = t + 3 it pins the
     parameter to 2^(m-3); in between the characteristic values at +-1
-    decide, and never both.
+    decide, and never both.  params is derive(inst) when the caller already
+    has it.
     """
-    p = derive(inst)
+    p = params or derive(inst)
     if p.regime not in (REGIME_EDGE_T2, REGIME_EDGE_T3, REGIME_MIDRANGE):
         raise ValueError(f"not an edge/mid-regime instance: {p.regime}")
     m = inst.m
@@ -531,9 +581,9 @@ def closed_form(inst: SumInstance, chi1: Character, chi2: Character) -> ClosedFo
     if params.regime == REGIME_TINY:
         cf = evaluate_tiny(norm.inst, norm.chi1, norm.chi2)
     elif params.regime == REGIME_LARGE:
-        cf = evaluate_large(norm.inst, norm.chi1, norm.chi2)
+        cf = evaluate_large(norm.inst, norm.chi1, norm.chi2, params=params)
     else:
-        cf = evaluate_small(norm.inst, norm.chi1, norm.chi2)
+        cf = evaluate_small(norm.inst, norm.chi1, norm.chi2, params=params)
     if norm.scale_log2:
         cf = _rescale(cf, inst.m, norm.scale_log2)
     return cf

@@ -15,7 +15,6 @@ import random
 import time
 from collections import Counter
 from dataclasses import dataclass, field
-from multiprocessing import Pool
 
 from .characters import Character
 from .cyclotomic import conj, from_int, mul
@@ -120,6 +119,22 @@ def _check_chunk(recs: list[Record]) -> tuple:
     return len(recs), mismatches, tags, mag_bad, t_closed, t_brute
 
 
+def _pool_map(func, records: list[Record], jobs: int) -> list:
+    """func over chunks of records, results in record order.
+
+    Small or single-job runs stay in this process; only a real fan-out
+    imports multiprocessing, so processes that never fork do not pay for it.
+    """
+    if jobs <= 1 or len(records) < 64:
+        return [func(records)]
+    from multiprocessing import Pool
+
+    size = max(1, (len(records) + jobs * 8 - 1) // (jobs * 8))
+    chunks = [records[i : i + size] for i in range(0, len(records), size)]
+    with Pool(jobs) as pool:
+        return pool.map(func, chunks)
+
+
 def run_check(records: list[Record], jobs: int | None = None, seed: int | None = None) -> CheckReport:
     """Compare closed form and oracle over the records, optionally in parallel.
 
@@ -130,14 +145,7 @@ def run_check(records: list[Record], jobs: int | None = None, seed: int | None =
     report = CheckReport(0, [], seed=seed, jobs=jobs)
     if not records:
         return report
-    if jobs <= 1 or len(records) < 64:
-        parts = [_check_chunk(records)]
-    else:
-        size = max(1, (len(records) + jobs * 8 - 1) // (jobs * 8))
-        chunks = [records[i : i + size] for i in range(0, len(records), size)]
-        with Pool(jobs) as pool:
-            parts = pool.map(_check_chunk, chunks)
-    for n, mis, tags, mag, tc, tb in parts:
+    for n, mis, tags, mag, tc, tb in _pool_map(_check_chunk, records, jobs):
         report.instances_checked += n
         report.mismatches.extend(mis)
         report.tag_counts.update(tags)
@@ -453,15 +461,9 @@ def _grid_chunk(recs: list[Record]) -> tuple[list[str], int]:
 
 def grid_rows(records: list[Record], jobs: int | None = None) -> tuple[list[str], int]:
     """All CSV rows (in record order) and the number of mismatching rows."""
-    jobs = jobs or default_jobs()
-    if jobs <= 1 or len(records) < 64:
-        return _grid_chunk(records)
-    size = max(1, (len(records) + jobs * 8 - 1) // (jobs * 8))
-    chunks = [records[i : i + size] for i in range(0, len(records), size)]
     rows: list[str] = []
     bad = 0
-    with Pool(jobs) as pool:
-        for part_rows, part_bad in pool.map(_grid_chunk, chunks):
-            rows.extend(part_rows)
-            bad += part_bad
+    for part_rows, part_bad in _pool_map(_grid_chunk, records, jobs or default_jobs()):
+        rows.extend(part_rows)
+        bad += part_bad
     return rows, bad

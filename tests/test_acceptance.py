@@ -235,17 +235,22 @@ def test_criterion_8_performance():
     ratio = oracle_s / timings[24]
     growth_16_20 = timings[20] / timings[16]
     growth_20_24 = timings[24] / timings[20]
+    # deep valuation: 2^20 characteristic solutions, none of them enumerated
+    deep = SumInstance(30, 3 << 20, 5, 1)
+    deep_s = _best_closed_time(deep, Character(30, 1, 5 << 20), Character(30, 1, 7))
     ok = (
         timings[24] < 1e-3
         and ratio >= 1e3
         and growth_16_20 < 16
         and growth_20_24 < 16
         and cf.value() == val
+        and deep_s < 1e-3
     )
     _report(
-        8, "closed form < 1 ms at m=24, oracle ratio >= 10^3", ok,
+        8, "closed form < 1 ms at m=24 and at n=20, m=30, oracle ratio >= 10^3", ok,
         f"closed {timings[24] * 1e6:.0f} us, oracle {oracle_s:.1f} s, ratio {ratio:.0f}, "
-        f"growth x{growth_16_20:.2f}/x{growth_20_24:.2f} per +4 in m (vs x16 for 2^m)",
+        f"growth x{growth_16_20:.2f}/x{growth_20_24:.2f} per +4 in m (vs x16 for 2^m), "
+        f"n=20 at m=30 {deep_s * 1e6:.0f} us",
     )
 
 

@@ -83,6 +83,18 @@ def test_width_cap_exit_3(capsys):
     assert code == 3  # oracle refuses above its own cap
 
 
+@pytest.mark.parametrize("exc", [AssertionError, RuntimeError])
+def test_internal_error_exit_5(capsys, monkeypatch, exc):
+    def broken(inst, chi1, chi2):
+        raise exc("invariant broken")
+
+    monkeypatch.setattr(charsum.cli, "closed_form", broken)
+    code = main(["eval", "--m", "7", "--method", "closed"])
+    err = capsys.readouterr().err
+    assert code == 5
+    assert err == f"internal error: {exc.__name__}: invariant broken\n"
+
+
 def test_check_small_sweep(capsys):
     code, out = run_cli(
         capsys, "check", "--m-min", "5", "--m-max", "8",

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from charsum.characters import (
     Character,
@@ -174,6 +176,49 @@ def test_solver_matches_filter(seed):
         )
         assert sols.solutions == filt
         found += 1
+
+
+@st.composite
+def large_instances(draw):
+    """Large-regime instances with chi1's parameter carrying 2^(n+t), t = 0..4,
+    at most 2^13 characteristic solutions.  Half of them get a B that solves
+    the congruence at a random witness; a random B often does not for t >= 1."""
+    t = draw(st.integers(0, 4))
+    m = draw(st.integers(2 * t + 6, 20))
+    n = draw(st.integers(1, min(m - 2 * t - 5, 12 - 2 * t)))
+
+    def odd(bits):
+        return 2 * draw(st.integers(0, (1 << bits) - 1)) + 1
+
+    A = (1 << n) * odd(m - n - 1)
+    k = (1 << t) * odd(4)
+    c1 = (1 << (n + t)) * odd(m - 3 - n - t)
+    chi1 = Character(m, 1 if k % 2 == 0 else draw(st.sampled_from((1, -1))), c1)
+    chi2 = Character(m, draw(st.sampled_from((1, -1))), odd(m - 3))
+    B = odd(m - 1)
+    if draw(st.booleans()):
+        # c1*B + coef*x^k = 0 mod 2^M_exp, with coef*x^k read off at B = 1
+        m_exp = ((m + n) >> 1) + t
+        x = odd(m_exp - 1)
+        probe = SumInstance(m, A, 1, k)
+        coef_xk = characteristic_value(x, probe, chi1, chi2, m_exp) - c1
+        w = m_exp - n - t
+        B = (-(coef_xk >> (n + t)) * pow(c1 >> (n + t), -1, 1 << w)) % (1 << w)
+        B += draw(st.integers(0, (1 << (m - w)) - 1)) << w
+    return SumInstance(m, A, B, k), chi1, chi2
+
+
+@settings(max_examples=400)
+@given(large_instances())
+def test_large_witness_is_smallest_solution(case):
+    inst, chi1, chi2 = case
+    sols = solve_characteristic(inst, chi1, chi2).solutions
+    cf = evaluate_large(inst, chi1, chi2)
+    if sols:
+        assert cf.x0 == min(sols)
+        assert cf.case in (CASE_LARGE_EVEN, CASE_LARGE_ODD)
+    else:
+        assert cf.case == CASE_ZERO_CONDITION and cf.x0 is None
 
 
 # ---------------------------------------------------------------------------
