@@ -16,6 +16,7 @@ import time
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from charsum.characters import Character  # noqa: E402
+from charsum.cyclotomic import matches_dense  # noqa: E402
 from charsum.evaluator import SumInstance, closed_form  # noqa: E402
 from charsum.oracle import brute_force  # noqa: E402
 
@@ -47,7 +48,7 @@ def main() -> int:
                 "closed_seconds": closed_s,
                 "oracle_seconds": oracle_s,
                 "ratio": oracle_s / closed_s,
-                "match": cf.value() == val,
+                "match": matches_dense(cf.ring_exponent, cf.terms, val),
             }
         )
         print(json.dumps(rows[-1]), file=sys.stderr)

@@ -13,7 +13,7 @@ import sys
 import time
 
 from .characters import Character
-from .cyclotomic import approx_complex
+from .cyclotomic import approx_terms, matches_dense
 from .errors import WidthCapError
 from .evaluator import SumInstance, closed_form
 from .oracle import brute_force
@@ -52,6 +52,16 @@ def _instance(args) -> tuple[SumInstance, Character, Character]:
     return inst, Character(args.m, args.s1, args.c1), Character(args.m, args.s2, args.c2)
 
 
+def _positive_int(text: str) -> int:
+    try:
+        n = int(text)
+    except ValueError:
+        n = 0
+    if n < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return n
+
+
 def _parse_int_list(text: str) -> tuple[int, ...]:
     return tuple(int(x) for x in text.split(",") if x.strip())
 
@@ -68,9 +78,9 @@ def cmd_eval(args) -> int:
     if args.method in ("closed", "both"):
         doc["closed_form"] = closed_form(inst, chi1, chi2).to_json_dict()
     if args.method in ("brute", "both"):
-        val = brute_force(inst, chi1, chi2)
-        re, im = approx_complex(val)
-        doc["oracle"] = {"value": val.to_json_dict(), "approx": {"re": re, "im": im}}
+        value = brute_force(inst, chi1, chi2).to_json_dict()
+        re, im = approx_terms(value["ring_exponent"], value["terms"])
+        doc["oracle"] = {"value": value, "approx": {"re": re, "im": im}}
     if args.method == "both":
         match = doc["closed_form"]["value"] == doc["oracle"]["value"]
         doc["match"] = match
@@ -115,7 +125,7 @@ def cmd_bench(args) -> int:
     t0 = time.perf_counter()
     val = brute_force(inst, chi1, chi2)
     brute_seconds = time.perf_counter() - t0
-    match = cf.value() == val
+    match = matches_dense(cf.ring_exponent, cf.terms, val)
     doc = {
         "m": inst.m,
         "case": cf.case,
@@ -185,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full grid over characters, A, odd B for each m")
     p.add_argument("--k-list", dest="k_list", type=_parse_int_list,
                    default=DEFAULT_KS, help="comma-separated k values (exhaustive mode)")
-    p.add_argument("--jobs", type=int, default=None,
+    p.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes (default: CHARSUM_JOBS or CPU count)")
     p.set_defaults(func=cmd_check)
 
@@ -203,7 +213,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2-list", dest="c2_list", type=_parse_int_list, default=())
     p.add_argument("--s1-list", dest="s1_list", type=_parse_int_list, default=())
     p.add_argument("--s2-list", dest="s2_list", type=_parse_int_list, default=())
-    p.add_argument("--jobs", type=int, default=None)
+    p.add_argument("--jobs", type=_positive_int, default=None,
+                   help="worker processes (default: CHARSUM_JOBS or CPU count)")
     p.set_defaults(func=cmd_grid)
     return ap
 

@@ -33,7 +33,28 @@ class CycInt:
         return not any(self.coeffs)
 
     def to_json_dict(self) -> dict:
-        return {"ring_exponent": self.r, "coeffs": list(self.coeffs)}
+        return terms_json(self.r, _nonzero(self.coeffs))
+
+
+def _nonzero(coeffs: tuple[int, ...]):
+    return ((j, x) for j, x in enumerate(coeffs) if x)
+
+
+def terms_json(r: int, terms) -> dict:
+    """JSON form of a ring value: its nonzero (exponent, coeff) pairs, ascending."""
+    return {"ring_exponent": r, "terms": [[e, x] for e, x in terms]}
+
+
+def matches_dense(r: int, terms, dense: CycInt) -> bool:
+    """Exact sparse-against-dense equality, without densifying the sparse side.
+
+    terms are (exponent, coeff) pairs with distinct exponents and nonzero
+    coefficients, as ClosedForm.terms holds them.
+    """
+    c = dense.coeffs
+    if r != dense.r or len(c) - c.count(0) != len(terms):
+        return False
+    return all(0 <= e < len(c) and c[e] == x for e, x in terms)
 
 
 def zero(r: int) -> CycInt:
@@ -136,16 +157,29 @@ def conj(a: CycInt) -> CycInt:
     return CycInt(a.r, tuple(c))
 
 
-def approx_complex(a: CycInt) -> tuple[float, float]:
-    """Double-precision complex value, for display only (never for equality)."""
-    step = 2.0 * math.pi / (1 << a.r)
+def approx_terms(r: int, terms) -> tuple[float, float]:
+    """Double-precision complex value of sum coeff * zeta_{2^r}^exponent, for
+    display only (never for equality)."""
+    step = 2.0 * math.pi / (1 << r)
     re = im = 0.0
-    for j, x in enumerate(a.coeffs):
-        if x:
-            re += x * math.cos(step * j)
-            im += x * math.sin(step * j)
+    for e, x in terms:
+        re += x * math.cos(step * e)
+        im += x * math.sin(step * e)
     return re, im
 
 
+def approx_complex(a: CycInt) -> tuple[float, float]:
+    """approx_terms of a dense ring element."""
+    return approx_terms(a.r, _nonzero(a.coeffs))
+
+
 def from_json_dict(d: dict) -> CycInt:
-    return CycInt(int(d["ring_exponent"]), tuple(int(x) for x in d["coeffs"]))
+    """Inverse of CycInt.to_json_dict."""
+    r = int(d["ring_exponent"])
+    c = [0] * (1 << (r - 1))
+    for e, x in d["terms"]:
+        e = int(e)
+        if not 0 <= e < len(c):
+            raise ValueError(f"exponent {e} outside ring 2^{r}")
+        c[e] = int(x)
+    return CycInt(r, tuple(c))

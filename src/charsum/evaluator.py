@@ -16,7 +16,6 @@ so verification runs can re-derive everything from the report alone.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 from .characters import (
@@ -30,7 +29,7 @@ from .characters import (
     principal,
     sign_mod4,
 )
-from .cyclotomic import CycInt
+from .cyclotomic import CycInt, approx_terms, terms_json
 from .errors import MAX_M, WidthCapError
 from .ring2adic import dlog5, five_pow_cofactor, jacobi2, v2
 
@@ -144,12 +143,7 @@ class ClosedForm:
         return CycInt(self.ring_exponent, tuple(c))
 
     def approx(self) -> tuple[float, float]:
-        step = 2.0 * math.pi / (1 << self.ring_exponent)
-        re = im = 0.0
-        for e, x in self.terms:
-            re += x * math.cos(step * e)
-            im += x * math.sin(step * e)
-        return re, im
+        return approx_terms(self.ring_exponent, self.terms)
 
     def is_zero(self) -> bool:
         return not self.terms
@@ -163,7 +157,7 @@ class ClosedForm:
             "lambda_parity": self.lambda_parity,
             "h": self.h,
             "scale_log2": self.scale_log2,
-            "value": self.value().to_json_dict(),
+            "value": terms_json(self.ring_exponent, self.terms),
             "approx": {"re": re, "im": im},
         }
 

@@ -22,7 +22,7 @@ from .evaluator import SumInstance, ring_exponent_for
 def _dlog_table(m: int) -> array:
     """tbl[x >> 1] = gamma for odd x with x = +-5^gamma mod 2^m."""
     mod = 1 << m
-    tbl = array("l", [0]) * (mod >> 1)
+    tbl = array("i", [0]) * (mod >> 1)  # gamma < 2^(m-2) <= 2^24 fits 4 bytes
     w = 1
     for gamma in range(1 << (m - 2)):
         tbl[w >> 1] = gamma

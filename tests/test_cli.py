@@ -3,6 +3,7 @@ import json
 import pytest
 
 import charsum.cli
+import charsum.sweep
 from charsum.cli import main
 from charsum.cyclotomic import zero
 from charsum.sweep import GRID_HEADER
@@ -24,7 +25,7 @@ def test_eval_both_matches(capsys):
     assert doc["match"] is True
     assert doc["closed_form"]["case"] == "LargeEven"
     assert doc["closed_form"]["value"]["ring_exponent"] == 5
-    assert doc["closed_form"]["value"]["coeffs"][3] == 16
+    assert doc["closed_form"]["value"]["terms"] == [[3, 16]]
     assert doc["oracle"]["value"] == doc["closed_form"]["value"]
     assert set(doc["closed_form"]) == {
         "case", "magnitude_halves", "x0", "lambda_parity", "h", "scale_log2", "value", "approx",
@@ -36,7 +37,7 @@ def test_eval_zero_parity(capsys):
     doc = json.loads(out)
     assert code == 0
     assert doc["closed_form"]["case"] == "ZeroParity"
-    assert not any(doc["closed_form"]["value"]["coeffs"])
+    assert doc["closed_form"]["value"]["terms"] == []
     assert doc["closed_form"]["magnitude_halves"] is None
 
 
@@ -57,12 +58,41 @@ def test_eval_single_method_skips_compare(capsys):
     assert "oracle" not in doc and "match" not in doc
 
 
+def test_eval_closed_at_largest_m_is_small(capsys):
+    code, out = run_cli(capsys, "eval", "--m", "30", "--method", "closed")
+    assert code == 0
+    assert len(out.encode()) < 4096
+    assert json.loads(out)["closed_form"]["value"]["ring_exponent"] == 28
+
+
 def test_usage_errors_exit_2(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["eval", "--m"])  # missing value
     assert exc.value.code == 2
     code, _ = run_cli(capsys, "eval", "--m", "6", "--c1", "0")
     assert code == 2  # parameter outside [1, 2^(m-2)]
+
+
+@pytest.mark.parametrize("argv", [
+    ["check", "--jobs", "0"],
+    ["check", "--jobs", "-2"],
+    ["check", "--jobs", "two"],
+    ["grid", "--m", "4", "--out", "unused.csv", "--jobs", "0"],
+])
+def test_nonpositive_jobs_exit_2(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert "--jobs: expected a positive integer" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("env", ["abc", "0", "-3"])
+def test_bad_charsum_jobs_exit_2(capsys, monkeypatch, env):
+    monkeypatch.setenv("CHARSUM_JOBS", env)
+    code = main(["check", "--m-min", "3", "--m-max", "3", "--samples", "5"])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == f"error: CHARSUM_JOBS must be a positive integer, got {env!r}\n"
 
 
 def test_mismatch_exit_1(capsys, monkeypatch):
@@ -160,6 +190,22 @@ def test_grid_csv(tmp_path, capsys):
         assert ",true," in line
     zero_rows = [l for l in lines[1:] if ",Zero" in l]
     assert zero_rows and all(",," in l for l in zero_rows)  # empty magnitude field
+
+
+def test_grid_counts_mismatches(tmp_path, capsys, monkeypatch):
+    # no honest mismatch exists, so fake the oracle: every nonzero row mismatches
+    monkeypatch.setattr(charsum.sweep, "brute_force", lambda inst, c1, c2: zero(3))
+    out_path = tmp_path / "grid.csv"
+    code, out = run_cli(
+        capsys, "grid", "--m", "5", "--out", str(out_path),
+        "--A-list", "2,3", "--B-list", "1,2", "--k-list", "1",
+        "--c1-list", "2", "--c2-list", "1", "--s1-list", "1", "--s2-list", "1", "--jobs", "1",
+    )
+    rows = out_path.read_text().splitlines()[1:]
+    false_rows = sum(",false," in row for row in rows)
+    assert code == 1
+    assert 0 < false_rows < len(rows)
+    assert json.loads(out)["mismatches"] == false_rows
 
 
 def test_grid_io_error_exit_4(capsys):

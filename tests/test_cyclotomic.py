@@ -10,10 +10,12 @@ from charsum.cyclotomic import (
     from_int,
     from_json_dict,
     lift,
+    matches_dense,
     mul,
     neg,
     one,
     root_of_unity,
+    scalar_mul,
     sqrt2,
     zero,
 )
@@ -105,8 +107,35 @@ def test_approx_examples():
 def test_json_round_trip():
     a = root_of_unity(4, 5)
     d = a.to_json_dict()
-    assert d["ring_exponent"] == 4 and len(d["coeffs"]) == 8
+    assert d == {"ring_exponent": 4, "terms": [[5, 1]]}
     assert from_json_dict(d) == a
+    b = add(root_of_unity(4, 13), from_int(3, 4))
+    assert b.to_json_dict() == {"ring_exponent": 4, "terms": [[0, 3], [5, -1]]}
+    assert from_json_dict(b.to_json_dict()) == b
+
+
+@given(cycints())
+def test_json_round_trip_any_value(a):
+    assert from_json_dict(a.to_json_dict()) == a
+
+
+def test_json_rejects_exponent_outside_ring():
+    with pytest.raises(ValueError):
+        from_json_dict({"ring_exponent": 3, "terms": [[4, 1]]})
+
+
+def test_matches_dense():
+    a = add(root_of_unity(5, 3), scalar_mul(-2, one(5)))
+    terms = ((0, -2), (3, 1))
+    assert matches_dense(5, terms, a)
+    assert not matches_dense(5, ((0, -2), (3, 2)), a)  # wrong coefficient
+    assert not matches_dense(5, ((3, 1),), a)  # extra nonzero in the dense vector
+    small = CycInt(4, (-2, 0, 0, 1, 0, 0, 0, 0))
+    assert matches_dense(4, terms, small)
+    assert not matches_dense(5, terms, small)  # different ring
+    assert matches_dense(5, (), zero(5))  # the zero value
+    assert not matches_dense(5, (), a)
+    assert not matches_dense(5, terms, zero(5))
 
 
 @given(cycint_pairs())

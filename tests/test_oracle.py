@@ -6,7 +6,7 @@ from charsum.characters import Character, eval_char, principal, sign_mod4
 from charsum.cyclotomic import CycInt, add, from_int, scalar_mul
 from charsum.errors import WidthCapError
 from charsum.evaluator import SumInstance
-from charsum.oracle import brute_force, half_sum
+from charsum.oracle import _dlog_table, brute_force, half_sum
 
 
 def test_same_parity_sums_vanish():
@@ -88,3 +88,13 @@ def test_ring_matches_small_moduli():
     got = brute_force(SumInstance(3, 2, 1, 2), principal(3), Character(3, 1, 1))
     assert got.r == 3
     assert got == from_int(-4, 3)
+
+
+def test_dlog_table_is_4_byte_and_exact():
+    m = 10
+    mod = 1 << m
+    tbl = _dlog_table(m)
+    assert tbl.itemsize == 4 and len(tbl) == mod >> 1
+    for gamma in range(1 << (m - 2)):  # up to the largest, 2^(m-2) - 1
+        w = pow(5, gamma, mod)
+        assert tbl[w >> 1] == tbl[(mod - w) >> 1] == gamma
