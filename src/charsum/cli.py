@@ -17,15 +17,6 @@ from .cyclotomic import approx_terms, matches_dense
 from .errors import WidthCapError
 from .evaluator import SumInstance, closed_form
 from .oracle import brute_force
-from .sweep import (
-    DEFAULT_KS,
-    GRID_HEADER,
-    default_jobs,
-    exhaustive_records,
-    grid_rows,
-    run_check,
-    sample_records,
-)
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -92,11 +83,14 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
+    from .sweep import DEFAULT_KS, default_jobs, exhaustive_records, run_check, sample_records
+
     jobs = args.jobs or default_jobs()
     if args.exhaustive:
+        ks = DEFAULT_KS if args.k_list is None else args.k_list
         records = []
         for m in range(args.m_min, args.m_max + 1):
-            records.extend(exhaustive_records(m, args.k_list))
+            records.extend(exhaustive_records(m, ks))
         seed = None
     else:
         seed = args.seed
@@ -141,6 +135,8 @@ def cmd_bench(args) -> int:
 
 
 def cmd_grid(args) -> int:
+    from .sweep import DEFAULT_KS, GRID_HEADER, default_jobs, grid_rows
+
     m = args.m
     mod = 1 << m
     cmax = 1 << (m - 2)
@@ -150,6 +146,7 @@ def cmd_grid(args) -> int:
     c2_list = args.c2_list if args.c2_list else tuple(range(1, cmax + 1))
     s1_list = args.s1_list if args.s1_list else (1, -1)
     s2_list = args.s2_list if args.s2_list else (1, -1)
+    k_list = DEFAULT_KS if args.k_list is None else args.k_list
     records = [
         (m, a, b, k, c1, s1, c2, s2)
         for c1 in c1_list
@@ -158,7 +155,7 @@ def cmd_grid(args) -> int:
         for s2 in s2_list
         for a in a_list
         for b in b_list
-        for k in args.k_list
+        for k in k_list
     ]
     rows, bad = grid_rows(records, jobs=args.jobs or default_jobs())
     try:
@@ -193,8 +190,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--exhaustive", action="store_true",
                    help="full grid over characters, A, odd B for each m")
-    p.add_argument("--k-list", dest="k_list", type=_parse_int_list,
-                   default=DEFAULT_KS, help="comma-separated k values (exhaustive mode)")
+    p.add_argument("--k-list", dest="k_list", type=_parse_int_list, default=None,
+                   help="comma-separated k values (exhaustive mode)")
     p.add_argument("--jobs", type=_positive_int, default=None,
                    help="worker processes (default: CHARSUM_JOBS or CPU count)")
     p.set_defaults(func=cmd_check)
@@ -208,7 +205,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--A-list", dest="A_list", type=_parse_int_list, default=())
     p.add_argument("--B-list", dest="B_list", type=_parse_int_list, default=())
-    p.add_argument("--k-list", dest="k_list", type=_parse_int_list, default=DEFAULT_KS)
+    p.add_argument("--k-list", dest="k_list", type=_parse_int_list, default=None)
     p.add_argument("--c1-list", dest="c1_list", type=_parse_int_list, default=())
     p.add_argument("--c2-list", dest="c2_list", type=_parse_int_list, default=())
     p.add_argument("--s1-list", dest="s1_list", type=_parse_int_list, default=())

@@ -57,6 +57,22 @@ def matches_dense(r: int, terms, dense: CycInt) -> bool:
     return all(0 <= e < len(c) and c[e] == x for e, x in terms)
 
 
+def abs2_terms(r: int, terms) -> dict[int, int]:
+    """S * conj(S) for S = sum coeff * zeta_{2^r}^exponent, as {exponent: coeff}
+    on the power basis (nonzero coefficients only), computed over the terms."""
+    half = 1 << (r - 1)
+    acc: dict[int, int] = {}
+    for e1, x1 in terms:
+        for e2, x2 in terms:
+            e = (e1 - e2) % (1 << r)
+            x = x1 * x2
+            if e >= half:
+                e -= half
+                x = -x
+            acc[e] = acc.get(e, 0) + x
+    return {e: x for e, x in acc.items() if x}
+
+
 def zero(r: int) -> CycInt:
     return CycInt(r, (0,) * (1 << (r - 1)))
 

@@ -1,12 +1,12 @@
 """Shared exception types and size policy.
 
 Python integers are arbitrary precision, so the caps below are policy, not
-correctness limits: they keep dense ring vectors and discrete-log tables at
+correctness limits: they keep dense ring vectors and direct summation at
 desk-scale memory and runtime.
 """
 
 MAX_M = 30          # closed-form evaluation refuses larger moduli
-MAX_ORACLE_M = 26   # direct summation needs a 2^(m-1)-entry dlog table
+MAX_ORACLE_M = 26   # time policy: 2^(m-1) terms, about half a minute at m = 26
 
 
 class WidthCapError(Exception):

@@ -29,7 +29,7 @@ from .characters import (
     principal,
     sign_mod4,
 )
-from .cyclotomic import CycInt, approx_terms, terms_json
+from .cyclotomic import CycInt, abs2_terms, approx_terms, terms_json
 from .errors import MAX_M, WidthCapError
 from .ring2adic import dlog5, five_pow_cofactor, jacobi2, v2
 
@@ -186,11 +186,7 @@ def _terms(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
 def _sparse_abs2_log2(terms: tuple[tuple[int, int], ...], r: int) -> int:
     """v with S * conj(S) = 2^v, computed sparsely.  Every nonzero value this
     evaluator produces has that shape; anything else is a bug."""
-    acc: dict[int, int] = {}
-    for e1, c1 in terms:
-        for e2, c2 in terms:
-            _fold(acc, r, e1 - e2, c1 * c2)
-    flat = _terms(acc)
+    flat = sorted(abs2_terms(r, terms).items())
     if len(flat) != 1 or flat[0][0] != 0:
         raise AssertionError(f"|S|^2 not rational: {flat}")
     sq = flat[0][1]

@@ -1,4 +1,8 @@
+import dataclasses
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -125,6 +129,20 @@ def test_internal_error_exit_5(capsys, monkeypatch, exc):
     assert err == f"internal error: {exc.__name__}: invariant broken\n"
 
 
+def test_eval_does_not_import_sweep():
+    # every `eval` process would otherwise pay for importing the sweep module
+    script = (
+        "import sys; from charsum.cli import main; "
+        "main(['eval', '--m', '8', '--method', 'both']); "
+        "sys.exit(3 if 'charsum.sweep' in sys.modules else 0)"
+    )
+    src = os.path.dirname(os.path.dirname(charsum.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout)["match"] is True
+
+
 def test_check_small_sweep(capsys):
     code, out = run_cli(
         capsys, "check", "--m-min", "5", "--m-max", "8",
@@ -151,6 +169,28 @@ def test_check_deterministic_across_jobs(capsys):
         del doc["jobs"]
         docs.append(doc)
     assert docs[0] == docs[1]
+
+
+def test_check_flags_wrong_magnitude(capsys, monkeypatch):
+    # no honest magnitude violation exists, so fake a closed form and an oracle
+    # that agree on twice the true value: the terms match, |S|^2 is 4x too big
+    real = charsum.sweep.closed_form
+
+    def doubled(inst, chi1, chi2):
+        cf = real(inst, chi1, chi2)
+        return dataclasses.replace(cf, terms=tuple((e, 2 * x) for e, x in cf.terms))
+
+    monkeypatch.setattr(charsum.sweep, "closed_form", doubled)
+    monkeypatch.setattr(charsum.sweep, "brute_force", lambda *args: doubled(*args).value())
+    code, out = run_cli(
+        capsys, "check", "--m-min", "6", "--m-max", "8",
+        "--samples", "60", "--seed", "5", "--jobs", "1",
+    )
+    doc = json.loads(out)
+    large = doc["tag_counts"].get("LargeEven", 0) + doc["tag_counts"].get("LargeOdd", 0)
+    assert code == 1
+    assert doc["mismatches"] == []
+    assert large > 0 and len(doc["magnitude_violations"]) == large
 
 
 def test_check_exhaustive_tiny(capsys):

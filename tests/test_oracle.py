@@ -1,12 +1,14 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from charsum.characters import Character, eval_char, principal, sign_mod4
-from charsum.cyclotomic import CycInt, add, from_int, scalar_mul
+from charsum.cyclotomic import CycInt, add, from_int, mul, scalar_mul, zero
 from charsum.errors import WidthCapError
-from charsum.evaluator import SumInstance
-from charsum.oracle import _dlog_table, brute_force, half_sum
+from charsum.evaluator import SumInstance, ring_exponent_for
+from charsum.oracle import _low_logs, brute_force, half_sum
 
 
 def test_same_parity_sums_vanish():
@@ -90,11 +92,72 @@ def test_ring_matches_small_moduli():
     assert got == from_int(-4, 3)
 
 
-def test_dlog_table_is_4_byte_and_exact():
-    m = 10
+def _split_log(y, m):
+    """(negative, L) with y = (-1)^negative * 5^L mod 2^m, read from the split table."""
+    h, uinv, low = _low_logs(m)
+    negative, l, mlo = low[y & ((1 << h) - 1)]
+    prod = y * mlo % (1 << m)
+    assert prod & ((1 << h) - 1) == 1  # y * M = 1 + 2^h * z
+    return negative, l + ((prod >> h) * uinv % (1 << (m - h)) << (h - 2))
+
+
+def _assert_split_log(y, m):
     mod = 1 << m
-    tbl = _dlog_table(m)
-    assert tbl.itemsize == 4 and len(tbl) == mod >> 1
-    for gamma in range(1 << (m - 2)):  # up to the largest, 2^(m-2) - 1
-        w = pow(5, gamma, mod)
-        assert tbl[w >> 1] == tbl[(mod - w) >> 1] == gamma
+    negative, big_l = _split_log(y, m)
+    assert negative == (y % 4 == 3)
+    assert 0 <= big_l < 1 << (m - 2)
+    assert pow(5, big_l, mod) == (mod - y if negative else y)
+
+
+def test_split_dlog_exhaustive_small_moduli():
+    for m in range(3, 17):
+        h, _, low = _low_logs(m)
+        assert 2 * h >= m and sum(e is not None for e in low) == 1 << (h - 1)
+        for y in range(1, 1 << m, 2):
+            _assert_split_log(y, m)
+
+
+def test_split_dlog_sampled_large_moduli():
+    rng = random.Random(26)
+    for m in range(17, 27):
+        for y in (1, (1 << m) - 1, *(rng.randrange(1, 1 << m, 2) for _ in range(2000))):
+            _assert_split_log(y, m)
+
+
+@st.composite
+def oracle_cases(draw):
+    m = draw(st.integers(3, 9))
+    mod = 1 << m
+    cmax = mod >> 2
+    a = draw(st.one_of(st.just(0), st.integers(0, mod - 1)))
+    b = draw(st.integers(0, mod - 1))
+    k = draw(st.integers(1, 24))
+    c1 = draw(st.one_of(st.just(cmax), st.integers(1, cmax)))  # cmax: principal if s1 = 1
+    chi1 = Character(m, draw(st.sampled_from((1, -1))), c1)
+    chi2 = Character(m, draw(st.sampled_from((1, -1))), draw(st.integers(1, cmax)))
+    return SumInstance(m, a, b, k), chi1, chi2
+
+
+def _reference_sum(inst, chi1, chi2, xs):
+    """sum of chi1(x) chi2(A x^k + B) over xs, by eval_char and ring arithmetic only."""
+    r = ring_exponent_for(inst.m)
+    total = zero(r)
+    for x in xs:
+        y = inst.A * pow(x, inst.k, 1 << inst.m) + inst.B
+        total = add(total, mul(eval_char(chi1, x, r), eval_char(chi2, y, r)))
+    return total
+
+
+@settings(max_examples=300)
+@given(oracle_cases())
+@example((SumInstance(6, 3, 5, 3), Character(6, 1, 3), Character(6, -1, 5)))  # A + B even
+@example((SumInstance(7, 0, 5, 3), Character(7, -1, 3), Character(7, 1, 1)))  # A = 0
+@example((SumInstance(8, 6, 3, 5), principal(8), Character(8, -1, 7)))  # principal chi1
+@example((SumInstance(5, 2, 1, 4), Character(5, -1, 3), Character(5, 1, 1)))  # even k, s1 = -1
+@example((SumInstance(3, 2, 1, 2), principal(3), Character(3, 1, 1)))  # smallest ring
+def test_oracle_matches_independent_reference(case):
+    inst, chi1, chi2 = case
+    mod = 1 << inst.m
+    assert brute_force(inst, chi1, chi2) == _reference_sum(inst, chi1, chi2, range(mod))
+    plus = [pow(5, g, mod) for g in range(mod >> 2)]
+    assert half_sum(inst, chi1, chi2, 1) == _reference_sum(inst, chi1, chi2, plus)
