@@ -2,37 +2,3 @@
 chi1(x) * chi2(A x^k + B): a poly(m) closed form for every parameter
 combination, plus an O(2^m) direct-summation oracle in the cyclotomic
 integer ring Z[zeta_{2^r}] for bit-exact verification."""
-
-from .characters import Character, char_conj, char_mul, char_pow, conductor, eval_char, induced, is_primitive, principal, sign_mod4
-from .cyclotomic import CycInt, add, approx_complex, conj, from_int, lift, mul, neg, one, root_of_unity, sqrt2, zero
-from .errors import MAX_M, MAX_ORACLE_M, WidthCapError
-from .evaluator import (
-    CharSolutionSet,
-    ClosedForm,
-    DerivedParams,
-    SumInstance,
-    characteristic_value,
-    closed_form,
-    derive,
-    evaluate,
-    evaluate_large,
-    evaluate_small,
-    evaluate_tiny,
-    normalize,
-    solve_characteristic,
-)
-from .oracle import brute_force, half_sum
-from .ring2adic import dlog5, five_pow_cofactor, inv_mod2w, jacobi2, pow_mod2w, v2
-
-__all__ = [
-    "Character", "CycInt", "SumInstance", "ClosedForm", "DerivedParams",
-    "CharSolutionSet", "WidthCapError", "MAX_M", "MAX_ORACLE_M",
-    "evaluate", "closed_form", "brute_force", "half_sum",
-    "normalize", "derive", "characteristic_value", "solve_characteristic",
-    "evaluate_large", "evaluate_small", "evaluate_tiny",
-    "eval_char", "is_primitive", "conductor", "induced",
-    "char_conj", "char_mul", "char_pow", "principal", "sign_mod4",
-    "add", "mul", "neg", "conj", "lift", "zero", "one", "from_int",
-    "root_of_unity", "sqrt2", "approx_complex",
-    "v2", "inv_mod2w", "pow_mod2w", "five_pow_cofactor", "dlog5", "jacobi2",
-]

@@ -44,6 +44,13 @@ def sign_mod4(m: int) -> Character:
     return Character(m, -1, 1 << (m - 2))
 
 
+def char_exp(chi: Character, x: int, r: int) -> tuple[int, int]:
+    """(e, sign) with chi(x) = sign * zeta_{2^r}^e, for odd x and r >= m - 2."""
+    eps, gamma = dlog5(x, chi.m)
+    # chi(x) = s^eps * zeta_{2^(m-2)}^(c*gamma), re-indexed into ring 2^r
+    return (chi.c * gamma) << (r - (chi.m - 2)), chi.s if eps else 1
+
+
 def eval_char(chi: Character, x: int, r: int) -> CycInt:
     """chi(x) as an exact ring element; even x gives the ring zero."""
     if r < max(chi.m - 2, 3):
@@ -51,12 +58,8 @@ def eval_char(chi: Character, x: int, r: int) -> CycInt:
     x %= 1 << chi.m
     if x % 2 == 0:
         return zero(r)
-    eps, gamma = dlog5(x, chi.m)
-    # chi(x) = s^eps * zeta_{2^(m-2)}^(c*gamma), re-indexed into ring 2^r
-    e = (chi.c * gamma) << (r - (chi.m - 2))
-    if eps and chi.s == -1:
-        e += 1 << (r - 1)
-    return root_of_unity(r, e)
+    e, sign = char_exp(chi, x, r)
+    return root_of_unity(r, e if sign == 1 else e + (1 << (r - 1)))
 
 
 def is_primitive(chi: Character) -> bool:

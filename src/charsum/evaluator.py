@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from .characters import (
     Character,
     char_conj,
+    char_exp,
     char_mul,
     char_pow,
     conductor,
@@ -193,14 +194,6 @@ def _sparse_abs2_log2(terms: tuple[tuple[int, int], ...], r: int) -> int:
     if sq <= 0 or sq & (sq - 1):
         raise AssertionError(f"|S|^2 not a power of two: {sq}")
     return sq.bit_length() - 1
-
-
-def _char_exp(chi: Character, x: int, r: int) -> tuple[int, int]:
-    """(ring exponent, sign) of chi(x) for odd x; assumes chi(x) != 0."""
-    eps, gamma = dlog5(x, chi.m)
-    e = (chi.c * gamma) << (r - (chi.m - 2))
-    sign = chi.s if eps else 1
-    return e, sign
 
 
 def _closed(
@@ -422,8 +415,8 @@ def evaluate_large(
     mod = 1 << m
     y0 = (inst.A * pow(x0, inst.k, mod) + inst.B) % mod
     r = ring_exponent_for(m)
-    e1, s1 = _char_exp(chi1, x0, r)
-    e2, s2 = _char_exp(chi2, y0, r)
+    e1, s1 = char_exp(chi1, x0, r)
+    e2, s2 = char_exp(chi2, y0, r)
     sign = s1 * s2
     e = e1 + e2
     half_pow = ((m + n) >> 1) + t + min(1, t)
@@ -476,7 +469,7 @@ def evaluate_small(
         want = principal(m) if k_even else sign_mod4(m)
         if chi1 != want:
             return _closed(CASE_ZERO_CONDITION, m, None)
-        e, s = _char_exp(chi2, sum_ab, r)
+        e, s = char_exp(chi2, sum_ab, r)
         _fold(acc, r, e, s << (m - 1))
         return _closed(CASE_EDGE_T2, m, acc)
 
@@ -484,12 +477,12 @@ def evaluate_small(
         if chi1.c != 1 << (m - 3):
             return _closed(CASE_ZERO_CONDITION, m, None)
         if k_even:
-            e, s = _char_exp(chi2, sum_ab, r)
+            e, s = char_exp(chi2, sum_ab, r)
             _fold(acc, r, e, s << (m - 1))
         else:
-            e, s = _char_exp(chi2, sum_ab, r)
+            e, s = char_exp(chi2, sum_ab, r)
             _fold(acc, r, e, s << (m - 2))
-            e, s = _char_exp(chi2, (inst.B - inst.A) % mod, r)
+            e, s = char_exp(chi2, (inst.B - inst.A) % mod, r)
             _fold(acc, r, e, chi1.s * s << (m - 2))
         return _closed(CASE_EDGE_T3, m, acc)
 
@@ -500,18 +493,18 @@ def evaluate_small(
     if k_even:
         if not at_plus:
             return _closed(CASE_ZERO_CONDITION, m, None)
-        e, s = _char_exp(chi2, sum_ab, r)
+        e, s = char_exp(chi2, sum_ab, r)
         _fold(acc, r, e, s << (m - 1))
         return _closed(CASE_MIDRANGE, m, acc)
     at_minus = (const + coef * pow(cmod - 1, inst.k, cmod)) % cmod == 0
     if at_plus and at_minus:
         raise AssertionError("characteristic values at +1 and -1 cannot both vanish here")
     if at_plus:
-        e, s = _char_exp(chi2, sum_ab, r)
+        e, s = char_exp(chi2, sum_ab, r)
         _fold(acc, r, e, s << (m - 2))
         return _closed(CASE_MIDRANGE, m, acc)
     if at_minus:
-        e, s = _char_exp(chi2, (inst.B - inst.A) % mod, r)
+        e, s = char_exp(chi2, (inst.B - inst.A) % mod, r)
         _fold(acc, r, e, chi1.s * s << (m - 2))
         return _closed(CASE_MIDRANGE, m, acc)
     return _closed(CASE_ZERO_CONDITION, m, None)
@@ -523,7 +516,7 @@ def evaluate_tiny(inst: SumInstance, chi1: Character, chi2: Character) -> Closed
     if chi1 != principal(m):
         return _closed(CASE_ZERO_CONDITION, m, None)
     r = ring_exponent_for(m)
-    e, s = _char_exp(chi2, (inst.A + inst.B) % (1 << m), r)
+    e, s = char_exp(chi2, (inst.A + inst.B) % (1 << m), r)
     acc: dict[int, int] = {}
     _fold(acc, r, e, s << (m - 1))
     return _closed(CASE_TINY, m, acc)

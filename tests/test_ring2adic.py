@@ -2,7 +2,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from charsum.errors import MAX_M
 from charsum.ring2adic import (
+    _DLOG_STEPS,
+    _DLOG_W,
     dlog5,
     five_pow_cofactor,
     inv_mod2w,
@@ -63,6 +66,19 @@ def test_cofactor_rejects_small_i():
         five_pow_cofactor(1, 8)
 
 
+def test_cofactor_cached_value_is_exact_and_bad_arguments_still_raise():
+    for i, w in ((5, 31), (16, 31), (3, 1)):
+        exact = (5 ** (1 << (i - 2)) - 1) // (1 << i) % (1 << w)
+        first = five_pow_cofactor(i, w)
+        hits = five_pow_cofactor.cache_info().hits
+        assert five_pow_cofactor(i, w) == first == exact
+        assert five_pow_cofactor.cache_info().hits == hits + 1
+    for i, w in ((1, 8), (0, 8), (4, 0), (4, -1)):
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                five_pow_cofactor(i, w)
+
+
 @pytest.mark.parametrize("i", range(2, 14))
 def test_cofactor_against_exact_integers(i):
     # independent route: compute 5^(2^(i-2)) as an exact integer and divide
@@ -101,28 +117,74 @@ def test_dlog5_rejects_even_and_tiny_modulus():
         dlog5(3, 2)
 
 
-@pytest.mark.parametrize("m", range(3, 12))
-def test_dlog5_round_trip_exhaustive(m):
+def _undo_dlog5(eps, gamma, m):
     mod = 1 << m
-    for x in range(1, mod, 2):
+    back = pow(5, gamma, mod)
+    return mod - back if eps else back
+
+
+@pytest.mark.parametrize("m", range(3, 17))
+def test_dlog5_round_trip_exhaustive(m):
+    for x in range(1, 1 << m, 2):
         eps, gamma = dlog5(x, m)
         assert 0 <= gamma < 1 << (m - 2)
         assert (eps == 0) == (x % 4 == 1)
-        back = pow(5, gamma, mod)
-        if eps:
-            back = mod - back
-        assert back == x
+        assert _undo_dlog5(eps, gamma, m) == x
 
 
-@given(st.integers(min_value=3, max_value=20), st.integers(min_value=0, max_value=1 << 20))
-def test_dlog5_round_trip_random(m, seedval):
+# widths at which the last byte-digit read by dlog5 is full or holds one bit
+@pytest.mark.parametrize("m", [10, 11, 18, 19, 26, 27])
+def test_dlog5_digit_boundary_widths(m):
+    top = 1 << (m - 2)
+    gammas = {0, 1, 254, 255, 256, 257, 511, top - 256, top - 255, top // 2, top - 1}
+    gammas |= {(1 << b) + d for b in (8, 16, 24) for d in (-1, 0, 1)}
+    gammas |= {g * 0x9E3779B1 % top for g in range(1, 200)}
     mod = 1 << m
-    x = (2 * seedval + 1) % mod
+    for gamma in sorted(g for g in gammas if 0 <= g < top):
+        x = pow(5, gamma, mod)
+        assert dlog5(x, m) == (0, gamma)
+        assert dlog5(mod - x, m) == (1, gamma)
+        assert dlog5(x + 7 * mod, m) == (0, gamma)
+
+
+@pytest.mark.parametrize(
+    "x,out",
+    [
+        (1, (0, 0)),
+        ((1 << 30) - 1, (1, 0)),
+        ((1 << 29) + 1, (0, 1 << 27)),
+        ((1 << 29) - 1, (1, 1 << 27)),
+    ],
+)
+def test_dlog5_extremes_at_m30(x, out):
+    assert dlog5(x, 30) == out
+
+
+def test_dlog5_tables_are_exact_permutations():
+    # every byte names one digit, and its entry divides exactly that power out
+    mod = 1 << _DLOG_W
+    assert len(_DLOG_STEPS) == (MAX_M - 2 + 7) // 8
+    for j, (digit, undo) in enumerate(_DLOG_STEPS):
+        assert sorted(digit) == [d << (8 * j) for d in range(256)]
+        for b in range(256):
+            y = pow(5, digit[b], mod)
+            assert (y >> (8 * j + 2)) & 255 == b
+            assert y * undo[b] % mod == 1
+
+
+def test_dlog5_refuses_widths_above_max_m():
+    assert _undo_dlog5(*dlog5(3, MAX_M), MAX_M) == 3
+    for m in (MAX_M + 1, MAX_M + 8, 64):
+        with pytest.raises(ValueError):
+            dlog5(3, m)
+
+
+@given(st.integers(min_value=3, max_value=MAX_M), st.integers(min_value=0, max_value=1 << MAX_M))
+def test_dlog5_round_trip_random(m, seedval):
+    x = (2 * seedval + 1) % (1 << m)
     eps, gamma = dlog5(x, m)
-    back = pow(5, gamma, mod)
-    if eps:
-        back = mod - back
-    assert back == x
+    assert 0 <= gamma < 1 << (m - 2)
+    assert _undo_dlog5(eps, gamma, m) == x
 
 
 @pytest.mark.parametrize("h,out", [(1, 1), (3, -1), (5, -1), (7, 1)])
