@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .cyclotomic import CycInt, root_of_unity, zero
 from .ring2adic import dlog5, v2
 
 
@@ -49,17 +48,6 @@ def char_exp(chi: Character, x: int, r: int) -> tuple[int, int]:
     eps, gamma = dlog5(x, chi.m)
     # chi(x) = s^eps * zeta_{2^(m-2)}^(c*gamma), re-indexed into ring 2^r
     return (chi.c * gamma) << (r - (chi.m - 2)), chi.s if eps else 1
-
-
-def eval_char(chi: Character, x: int, r: int) -> CycInt:
-    """chi(x) as an exact ring element; even x gives the ring zero."""
-    if r < max(chi.m - 2, 3):
-        raise ValueError(f"ring 2^{r} too small for characters mod 2^{chi.m}")
-    x %= 1 << chi.m
-    if x % 2 == 0:
-        return zero(r)
-    e, sign = char_exp(chi, x, r)
-    return root_of_unity(r, e if sign == 1 else e + (1 << (r - 1)))
 
 
 def is_primitive(chi: Character) -> bool:

@@ -14,7 +14,7 @@ import time
 
 from .characters import Character
 from .cyclotomic import approx_terms, matches_dense
-from .errors import WidthCapError
+from .errors import MAX_M, MAX_ORACLE_M, WidthCapError
 from .evaluator import SumInstance, closed_form
 from .oracle import brute_force
 
@@ -37,7 +37,14 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s2", type=int, default=1, choices=(1, -1), help="chi2(-1)")
 
 
+def _check_cap(m: int, cap: int) -> None:
+    """Refuse m above cap (exit 3) before anything of size 2^m is built."""
+    if m > cap:
+        raise WidthCapError(f"modulus exponent {m} exceeds cap {cap}")
+
+
 def _instance(args) -> tuple[SumInstance, Character, Character]:
+    _check_cap(args.m, MAX_M)
     mod = 1 << args.m
     inst = SumInstance(args.m, args.A % mod, args.B % mod, args.k)
     return inst, Character(args.m, args.s1, args.c1), Character(args.m, args.s2, args.c2)
@@ -85,6 +92,9 @@ def cmd_eval(args) -> int:
 def cmd_check(args) -> int:
     from .sweep import DEFAULT_KS, default_jobs, exhaustive_records, run_check, sample_records
 
+    if args.m_min > args.m_max:
+        raise ValueError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
+    _check_cap(args.m_max, MAX_ORACLE_M)
     jobs = args.jobs or default_jobs()
     if args.exhaustive:
         ks = DEFAULT_KS if args.k_list is None else args.k_list
@@ -138,6 +148,7 @@ def cmd_grid(args) -> int:
     from .sweep import DEFAULT_KS, GRID_HEADER, default_jobs, grid_rows
 
     m = args.m
+    _check_cap(m, MAX_ORACLE_M)
     mod = 1 << m
     cmax = 1 << (m - 2)
     a_list = args.A_list if args.A_list else tuple(range(mod))
@@ -186,7 +197,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="sweep-verify closed form against the oracle")
     p.add_argument("--m-min", type=int, default=3)
     p.add_argument("--m-max", type=int, default=8)
-    p.add_argument("--samples", type=int, default=1000)
+    p.add_argument("--samples", type=_positive_int, default=1000)
     p.add_argument("--seed", type=int, default=1)
     p.add_argument("--exhaustive", action="store_true",
                    help="full grid over characters, A, odd B for each m")

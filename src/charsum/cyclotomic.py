@@ -1,10 +1,12 @@
-"""Exact integer arithmetic in the cyclotomic ring Z[zeta] for zeta = e^(2*pi*i/2^r).
+"""Exact values in the cyclotomic ring Z[zeta] for zeta = e^(2*pi*i/2^r).
 
 Elements are stored on the power basis zeta^0 .. zeta^(2^(r-1) - 1) with the
 single relation zeta^(2^(r-1)) = -1.  The representation is unique, so ring
 equality is coefficient equality and "equals zero" needs no tolerance.
-Values are immutable; the summation oracle accumulates into a plain list and
-freezes it at the end.
+Dense values (CycInt) are what the summation oracle returns; it accumulates
+into a plain list and freezes it at the end.  The closed form keeps sparse
+(exponent, coeff) term lists, and the helpers here compare, square, print and
+approximate those without densifying them.
 """
 
 from __future__ import annotations
@@ -33,11 +35,7 @@ class CycInt:
         return not any(self.coeffs)
 
     def to_json_dict(self) -> dict:
-        return terms_json(self.r, _nonzero(self.coeffs))
-
-
-def _nonzero(coeffs: tuple[int, ...]):
-    return ((j, x) for j, x in enumerate(coeffs) if x)
+        return terms_json(self.r, ((j, x) for j, x in enumerate(self.coeffs) if x))
 
 
 def terms_json(r: int, terms) -> dict:
@@ -77,102 +75,6 @@ def zero(r: int) -> CycInt:
     return CycInt(r, (0,) * (1 << (r - 1)))
 
 
-def from_int(n: int, r: int) -> CycInt:
-    c = [0] * (1 << (r - 1))
-    c[0] = n
-    return CycInt(r, tuple(c))
-
-
-def one(r: int) -> CycInt:
-    return from_int(1, r)
-
-
-def root_of_unity(r: int, j: int) -> CycInt:
-    """zeta_{2^r}^j reduced onto the power basis (sign flips past half turn)."""
-    half = 1 << (r - 1)
-    j %= 1 << r
-    c = [0] * half
-    if j < half:
-        c[j] = 1
-    else:
-        c[j - half] = -1
-    return CycInt(r, tuple(c))
-
-
-def add(a: CycInt, b: CycInt) -> CycInt:
-    if a.r != b.r:
-        raise ValueError(f"ring mismatch: 2^{a.r} vs 2^{b.r}")
-    return CycInt(a.r, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
-
-
-def neg(a: CycInt) -> CycInt:
-    return CycInt(a.r, tuple(-x for x in a.coeffs))
-
-
-def scalar_mul(n: int, a: CycInt) -> CycInt:
-    return CycInt(a.r, tuple(n * x for x in a.coeffs))
-
-
-def mul(a: CycInt, b: CycInt) -> CycInt:
-    """Exact product; exponents past 2^(r-1) wrap with a sign flip.
-
-    Works over the nonzero supports, so products of the sparse values this
-    package actually produces (a handful of terms) stay cheap even in big
-    rings.
-    """
-    if a.r != b.r:
-        raise ValueError(f"ring mismatch: 2^{a.r} vs 2^{b.r}")
-    half = 1 << (a.r - 1)
-    out = [0] * half
-    bnz = [(j, y) for j, y in enumerate(b.coeffs) if y]
-    for i, x in enumerate(a.coeffs):
-        if not x:
-            continue
-        for j, y in bnz:
-            e = i + j
-            if e < half:
-                out[e] += x * y
-            else:
-                out[e - half] -= x * y
-    return CycInt(a.r, tuple(out))
-
-
-def sqrt2(r: int) -> CycInt:
-    """The square root of 2, zeta_8 - zeta_8^3, expressed in ring 2^r (r >= 3)."""
-    if r < 3:
-        raise ValueError(f"sqrt(2) needs ring exponent >= 3, got {r}")
-    half = 1 << (r - 1)
-    c = [0] * half
-    step = 1 << (r - 3)  # zeta_8 = zeta_{2^r}^step
-    c[step] = 1
-    c[3 * step] = -1
-    return CycInt(r, tuple(c))
-
-
-def lift(a: CycInt, r2: int) -> CycInt:
-    """Re-express a in the larger ring 2^r2: coefficient j moves to j * 2^(r2-r)."""
-    if r2 < a.r:
-        raise ValueError(f"cannot lift from ring 2^{a.r} down to 2^{r2}")
-    if r2 == a.r:
-        return a
-    f = 1 << (r2 - a.r)
-    c = [0] * (1 << (r2 - 1))
-    for j, x in enumerate(a.coeffs):
-        if x:
-            c[j * f] = x
-    return CycInt(r2, tuple(c))
-
-
-def conj(a: CycInt) -> CycInt:
-    """Complex conjugation, the ring automorphism zeta -> zeta^(-1)."""
-    half = 1 << (a.r - 1)
-    c = [0] * half
-    c[0] = a.coeffs[0]
-    for j in range(1, half):
-        c[half - j] = -a.coeffs[j]
-    return CycInt(a.r, tuple(c))
-
-
 def approx_terms(r: int, terms) -> tuple[float, float]:
     """Double-precision complex value of sum coeff * zeta_{2^r}^exponent, for
     display only (never for equality)."""
@@ -182,20 +84,3 @@ def approx_terms(r: int, terms) -> tuple[float, float]:
         re += x * math.cos(step * e)
         im += x * math.sin(step * e)
     return re, im
-
-
-def approx_complex(a: CycInt) -> tuple[float, float]:
-    """approx_terms of a dense ring element."""
-    return approx_terms(a.r, _nonzero(a.coeffs))
-
-
-def from_json_dict(d: dict) -> CycInt:
-    """Inverse of CycInt.to_json_dict."""
-    r = int(d["ring_exponent"])
-    c = [0] * (1 << (r - 1))
-    for e, x in d["terms"]:
-        e = int(e)
-        if not 0 <= e < len(c):
-            raise ValueError(f"exponent {e} outside ring 2^{r}")
-        c[e] = int(x)
-    return CycInt(r, tuple(c))

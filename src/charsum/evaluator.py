@@ -4,8 +4,8 @@ The pipeline: normalize (parity vanishing, inverting the summation variable
 when B is even, imprimitivity rules, modulus reduction), derive the 2-adic
 shape n = v2(A), t = v2(k), classify the regime by m - n against t, then
 dispatch.  Every nonzero value is a power of sqrt(2) times one or two roots
-of unity, so results are carried as sparse exact term lists and expanded to
-dense ring elements only on demand; the structured evaluation costs poly(m)
+of unity, so results are carried as sparse exact term lists (ClosedForm.value()
+expands one to a dense ring element); the structured evaluation costs poly(m)
 arithmetic at every valuation: the Large regime solves its characteristic
 congruence for the smallest root directly, without enumerating the
 2^(n + 2t + min(1, t)) solutions.
@@ -89,14 +89,6 @@ class DerivedParams:
     N: int | None
     M_exp: int | None
     regime: str
-
-
-@dataclass(frozen=True, slots=True)
-class CharSolutionSet:
-    """All odd solutions of the characteristic congruence modulo 2^w."""
-
-    w: int
-    solutions: tuple[int, ...]
 
 
 @dataclass(frozen=True, slots=True)
@@ -298,44 +290,6 @@ def characteristic_value(x: int, inst: SumInstance, chi1: Character, chi2: Chara
     return (const + coef * pow(x, inst.k, mod)) % mod
 
 
-def solve_characteristic(inst: SumInstance, chi1: Character, chi2: Character) -> CharSolutionSet:
-    """Complete set of odd x mod 2^M_exp with C(x) = 0 mod 2^M_exp.
-
-    The test-side reference enumerator: the evaluator itself solves for the
-    smallest root directly (_smallest_root), and the tests check that root
-    and the witness independence of the value against this full set.
-
-    Breadth-first bit lifting: C(x) mod 2^j depends only on x mod 2^j (the
-    x-dependence sits above valuation n + t), so solutions mod 2^(j+1) are
-    found among the two lifts of each solution mod 2^j.  The set has
-    2^(n + 2t + min(1, t)) elements, and so does the work.
-    """
-    p = derive(inst)
-    if p.regime != REGIME_LARGE:
-        raise ValueError(f"characteristic solver applies to the Large regime, not {p.regime}")
-    if v2(chi1.c) != p.n + p.t:
-        raise ValueError("chi1 parameter lacks the required 2-power; the sum is zero")
-    m_exp = p.M_exp
-    const, coef, mod = _c_affine(inst, chi1.c, chi2.c, p.N, p.n, m_exp)
-    k = inst.k
-    cap = 1 << (p.n + 2 * p.t + 6)
-    sols = [1] if (const + coef) % 2 == 0 else []
-    for j in range(1, m_exp):
-        step = 1 << j
-        mod_next = step << 1
-        nxt = []
-        for x in sols:
-            for cand in (x, x + step):
-                if (const + coef * pow(cand, k, mod)) % mod_next == 0:
-                    nxt.append(cand)
-        sols = nxt
-        if len(sols) > cap:
-            raise RuntimeError(
-                f"solution frontier {len(sols)} exceeds cap {cap}: solver invariant broken"
-            )
-    return CharSolutionSet(m_exp, tuple(sorted(sols)))
-
-
 # ---------------------------------------------------------------------------
 # regime evaluators (inputs already normalized: A even, B odd, chi2 primitive)
 
@@ -366,8 +320,8 @@ def evaluate_large(
     inst: SumInstance,
     chi1: Character,
     chi2: Character,
+    params: DerivedParams,
     x0: int | None = None,
-    params: DerivedParams | None = None,
 ) -> ClosedForm:
     """m - n > 2t + 4: single characteristic witness carries the whole sum.
 
@@ -381,27 +335,26 @@ def evaluate_large(
     Both coefficients of C(x) = const + coef * x^k have valuation exactly
     n + t, so C(x) = 0 mod 2^M_exp reduces to x^k = u mod 2^w with
     w = M_exp - n - t >= t + 2, and x0 defaults to its smallest solution.
-    params is derive(inst) when the caller already has it.
+    params is derive(inst).
     """
-    p = params or derive(inst)
-    if p.regime != REGIME_LARGE:
-        raise ValueError(f"not a Large-regime instance: {p.regime}")
-    m, n, t = inst.m, p.n, p.t
+    if params.regime != REGIME_LARGE:
+        raise ValueError(f"not a Large-regime instance: {params.regime}")
+    m, n, t = inst.m, params.n, params.t
     nt = n + t
     if v2(chi1.c) != nt:
         return _closed(CASE_ZERO_CONDITION, m, None)
     if inst.k % 2 == 0 and chi1.s != 1:
         return _closed(CASE_ZERO_CONDITION, m, None)
 
-    m_exp = p.M_exp
+    m_exp = params.M_exp
     # one bit above the congruence's modulus carries lambda
-    const, coef, cmod = _c_affine(inst, chi1.c, chi2.c, p.N, n, m_exp + 1)
+    const, coef, cmod = _c_affine(inst, chi1.c, chi2.c, params.N, n, m_exp + 1)
     low_bits = (2 << nt) - 1
     if const & low_bits != 1 << nt or coef & low_bits != 1 << nt:
         raise AssertionError("characteristic coefficients lack valuation n + t")
     w = m_exp - nt
     u = -(const >> nt) * pow(coef >> nt, -1, 1 << w) % (1 << w)
-    root = _smallest_root(u, p.k1, t, w)
+    root = _smallest_root(u, params.k1, t, w)
     if root is None:
         return _closed(CASE_ZERO_CONDITION, m, None)
     if x0 is None:
@@ -427,7 +380,7 @@ def evaluate_large(
         h = None
     else:
         c3 = chi1.c >> nt
-        h = (2 * lam + (p.k1 - 1) + (pow(2, n, 8) - 1) * c3) & 7
+        h = (2 * lam + (params.k1 - 1) + (pow(2, n, 8) - 1) * c3) & 7
         coeff = (sign * jacobi2(h)) << half_pow
         step8 = 1 << (r - 3)
         # sqrt(2) * omega^h = zeta_8^(h+1) - zeta_8^(h+3)
@@ -441,7 +394,7 @@ def evaluate_large(
 
 
 def evaluate_small(
-    inst: SumInstance, chi1: Character, chi2: Character, params: DerivedParams | None = None
+    inst: SumInstance, chi1: Character, chi2: Character, params: DerivedParams
 ) -> ClosedForm:
     """t + 2 <= m - n <= 2t + 4: the sum collapses onto A + B and -A + B.
 
@@ -450,12 +403,10 @@ def evaluate_small(
     m - n = t + 2 edge that means chi1 is the principal character (k even)
     or the mod-4 sign character (k odd); at m - n = t + 3 it pins the
     parameter to 2^(m-3); in between the characteristic values at +-1
-    decide, and never both.  params is derive(inst) when the caller already
-    has it.
+    decide, and never both.  params is derive(inst).
     """
-    p = params or derive(inst)
-    if p.regime not in (REGIME_EDGE_T2, REGIME_EDGE_T3, REGIME_MIDRANGE):
-        raise ValueError(f"not an edge/mid-regime instance: {p.regime}")
+    if params.regime not in (REGIME_EDGE_T2, REGIME_EDGE_T3, REGIME_MIDRANGE):
+        raise ValueError(f"not an edge/mid-regime instance: {params.regime}")
     m = inst.m
     k_even = inst.k % 2 == 0
     if k_even and chi1.s != 1:
@@ -465,7 +416,7 @@ def evaluate_small(
     sum_ab = (inst.A + inst.B) % mod
     acc: dict[int, int] = {}
 
-    if p.regime == REGIME_EDGE_T2:
+    if params.regime == REGIME_EDGE_T2:
         want = principal(m) if k_even else sign_mod4(m)
         if chi1 != want:
             return _closed(CASE_ZERO_CONDITION, m, None)
@@ -473,7 +424,7 @@ def evaluate_small(
         _fold(acc, r, e, s << (m - 1))
         return _closed(CASE_EDGE_T2, m, acc)
 
-    if p.regime == REGIME_EDGE_T3:
+    if params.regime == REGIME_EDGE_T3:
         if chi1.c != 1 << (m - 3):
             return _closed(CASE_ZERO_CONDITION, m, None)
         if k_even:
@@ -488,7 +439,7 @@ def evaluate_small(
 
     # MidRange: t + 3 < m - n <= 2t + 4
     width = m - 2
-    const, coef, cmod = _c_affine(inst, chi1.c, chi2.c, p.N, p.n, width)
+    const, coef, cmod = _c_affine(inst, chi1.c, chi2.c, params.N, params.n, width)
     at_plus = (const + coef * pow(1, inst.k, cmod)) % cmod == 0
     if k_even:
         if not at_plus:
@@ -564,15 +515,10 @@ def closed_form(inst: SumInstance, chi1: Character, chi2: Character) -> ClosedFo
     if params.regime == REGIME_TINY:
         cf = evaluate_tiny(norm.inst, norm.chi1, norm.chi2)
     elif params.regime == REGIME_LARGE:
-        cf = evaluate_large(norm.inst, norm.chi1, norm.chi2, params=params)
+        cf = evaluate_large(norm.inst, norm.chi1, norm.chi2, params)
     else:
-        cf = evaluate_small(norm.inst, norm.chi1, norm.chi2, params=params)
+        cf = evaluate_small(norm.inst, norm.chi1, norm.chi2, params)
     if norm.scale_log2:
         cf = _rescale(cf, inst.m, norm.scale_log2)
     return cf
 
-
-def evaluate(inst: SumInstance, chi1: Character, chi2: Character) -> tuple[ClosedForm, CycInt]:
-    """Closed form plus its dense exact ring value."""
-    cf = closed_form(inst, chi1, chi2)
-    return cf, cf.value()

@@ -1,10 +1,10 @@
 """Exact modular arithmetic in Z/2^w.
 
 Residues are plain non-negative ints below 2^w, with the width passed
-explicitly where it matters.  Provides 2-adic valuations, inverses of odd
-residues, the odd cofactors that convert powers of 5 into additive 2-adic
-shifts, a discrete logarithm to base 5 read one byte-digit at a time from
-tables built at import, and the Jacobi symbol (2/h).
+explicitly where it matters.  Provides 2-adic valuations, the odd cofactors
+that convert powers of 5 into additive 2-adic shifts, a discrete logarithm to
+base 5 read one byte-digit at a time from tables built at import, and the
+Jacobi symbol (2/h).
 """
 
 from __future__ import annotations
@@ -19,29 +19,6 @@ def v2(x: int) -> int:
     if x < 1:
         raise ValueError(f"v2 is undefined for x={x}; need x >= 1")
     return (x & -x).bit_length() - 1
-
-
-def odd_part(x: int) -> int:
-    """x divided by its largest power-of-two factor.  Requires x >= 1."""
-    return x >> v2(x)
-
-
-def inv_mod2w(y: int, w: int) -> int:
-    """Inverse of an odd residue y modulo 2^w."""
-    if w < 1:
-        raise ValueError(f"width must be >= 1, got {w}")
-    if y % 2 == 0:
-        raise ValueError(f"{y} is even, not invertible mod 2^{w}")
-    return pow(y, -1, 1 << w)
-
-
-def pow_mod2w(b: int, e: int, w: int) -> int:
-    """b^e mod 2^w with b^0 = 1."""
-    if w < 1:
-        raise ValueError(f"width must be >= 1, got {w}")
-    if e < 0:
-        raise ValueError(f"exponent must be >= 0, got {e}")
-    return pow(b, e, 1 << w)
 
 
 @lru_cache(maxsize=4096)

@@ -386,34 +386,6 @@ def sample_records(seed: int, m_min: int, m_max: int, count: int) -> list[Record
     return out
 
 
-def sample_violating(seed: int, m_min: int, m_max: int, count: int) -> list[Record]:
-    """Instances breaking the standing hypotheses: even B, same parity,
-    imprimitive chi2, or two imprimitive characters."""
-    rng = random.Random(seed)
-    aims = ("Swap", "ZeroParity", "ZeroImprimitive", "Reduced")
-    out: list[Record] = []
-    i = 0
-    while len(out) < count:
-        m = rng.randint(m_min, m_max)
-        rec = _aimed_record(rng, m, aims[i % len(aims)])
-        i += 1
-        if rec is not None:
-            out.append(rec)
-    return out
-
-
-def sample_large_nonzero(seed: int, m_min: int, m_max: int, count: int) -> list[Record]:
-    """Large-regime records whose closed form is guaranteed nonzero (odd k)."""
-    rng = random.Random(seed)
-    out: list[Record] = []
-    while len(out) < count:
-        m = rng.randint(max(m_min, 6), m_max)
-        rec = _aimed_record(rng, m, rng.choice(("LargeEven", "LargeOdd")))
-        if rec is not None:
-            out.append(rec)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # CSV grid rows
 

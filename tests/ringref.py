@@ -1,0 +1,140 @@
+"""Dense reference algebra for the tests.
+
+The package itself works on sparse term lists and compares them against the
+oracle's dense vectors without ever multiplying ring elements.  The tests
+need more: products, conjugates, sqrt(2), character values as ring elements
+and the complete solution set of the characteristic congruence, so that
+identities can be checked exactly and the closed form's shortcuts can be
+compared against a plain enumeration.  Those references live here.
+"""
+
+from __future__ import annotations
+
+from charsum.characters import Character, char_exp
+from charsum.cyclotomic import CycInt, zero
+from charsum.evaluator import REGIME_LARGE, SumInstance, _c_affine, derive
+from charsum.ring2adic import v2
+
+
+def from_int(n: int, r: int) -> CycInt:
+    c = [0] * (1 << (r - 1))
+    c[0] = n
+    return CycInt(r, tuple(c))
+
+
+def root_of_unity(r: int, j: int) -> CycInt:
+    """zeta_{2^r}^j reduced onto the power basis (sign flips past half turn)."""
+    half = 1 << (r - 1)
+    j %= 1 << r
+    c = [0] * half
+    if j < half:
+        c[j] = 1
+    else:
+        c[j - half] = -1
+    return CycInt(r, tuple(c))
+
+
+def add(a: CycInt, b: CycInt) -> CycInt:
+    if a.r != b.r:
+        raise ValueError(f"ring mismatch: 2^{a.r} vs 2^{b.r}")
+    return CycInt(a.r, tuple(x + y for x, y in zip(a.coeffs, b.coeffs)))
+
+
+def scalar_mul(n: int, a: CycInt) -> CycInt:
+    return CycInt(a.r, tuple(n * x for x in a.coeffs))
+
+
+def mul(a: CycInt, b: CycInt) -> CycInt:
+    """Exact product; exponents past 2^(r-1) wrap with a sign flip.
+
+    Works over the nonzero supports, so products of the sparse values the
+    package produces (a handful of terms) stay cheap even in big rings.
+    """
+    if a.r != b.r:
+        raise ValueError(f"ring mismatch: 2^{a.r} vs 2^{b.r}")
+    half = 1 << (a.r - 1)
+    out = [0] * half
+    bnz = [(j, y) for j, y in enumerate(b.coeffs) if y]
+    for i, x in enumerate(a.coeffs):
+        if not x:
+            continue
+        for j, y in bnz:
+            e = i + j
+            if e < half:
+                out[e] += x * y
+            else:
+                out[e - half] -= x * y
+    return CycInt(a.r, tuple(out))
+
+
+def sqrt2(r: int) -> CycInt:
+    """The square root of 2, zeta_8 - zeta_8^3, expressed in ring 2^r (r >= 3)."""
+    if r < 3:
+        raise ValueError(f"sqrt(2) needs ring exponent >= 3, got {r}")
+    half = 1 << (r - 1)
+    c = [0] * half
+    step = 1 << (r - 3)  # zeta_8 = zeta_{2^r}^step
+    c[step] = 1
+    c[3 * step] = -1
+    return CycInt(r, tuple(c))
+
+
+def conj(a: CycInt) -> CycInt:
+    """Complex conjugation, the ring automorphism zeta -> zeta^(-1)."""
+    half = 1 << (a.r - 1)
+    c = [0] * half
+    c[0] = a.coeffs[0]
+    for j in range(1, half):
+        c[half - j] = -a.coeffs[j]
+    return CycInt(a.r, tuple(c))
+
+
+def eval_char(chi: Character, x: int, r: int) -> CycInt:
+    """chi(x) as an exact ring element; even x gives the ring zero."""
+    if r < max(chi.m - 2, 3):
+        raise ValueError(f"ring 2^{r} too small for characters mod 2^{chi.m}")
+    x %= 1 << chi.m
+    if x % 2 == 0:
+        return zero(r)
+    e, sign = char_exp(chi, x, r)
+    return root_of_unity(r, e if sign == 1 else e + (1 << (r - 1)))
+
+
+def solve_characteristic(
+    inst: SumInstance, chi1: Character, chi2: Character
+) -> tuple[int, tuple[int, ...]]:
+    """(w, solutions): every odd x mod 2^w with C(x) = 0 mod 2^w, w = M_exp.
+
+    The evaluator solves for the smallest root directly (_smallest_root); the
+    tests check that root and the witness independence of the value against
+    this full set.
+
+    Breadth-first bit lifting: C(x) mod 2^j depends only on x mod 2^j (the
+    x-dependence sits above valuation n + t), so solutions mod 2^(j+1) are
+    found among the two lifts of each solution mod 2^j.  The set has
+    2^(n + 2t + min(1, t)) elements, and so does the work.
+    """
+    p = derive(inst)
+    if p.regime != REGIME_LARGE:
+        raise ValueError(f"characteristic solver applies to the Large regime, not {p.regime}")
+    if v2(chi1.c) != p.n + p.t:
+        raise ValueError("chi1 parameter lacks the required 2-power; the sum is zero")
+    m_exp = p.M_exp
+    const, coef, mod = _c_affine(inst, chi1.c, chi2.c, p.N, p.n, m_exp)
+    k = inst.k
+    cap = 1 << (p.n + 2 * p.t + 6)
+    sols = [1] if (const + coef) % 2 == 0 else []
+    for j in range(1, m_exp):
+        step = 1 << j
+        mod_next = step << 1
+        nxt = []
+        for x in sols:
+            for cand in (x, x + step):
+                if (const + coef * pow(cand, k, mod)) % mod_next == 0:
+                    nxt.append(cand)
+        sols = nxt
+        if len(sols) > cap:
+            raise RuntimeError(
+                f"solution frontier {len(sols)} exceeds cap {cap}: solver invariant broken"
+            )
+    return m_exp, tuple(sorted(sols))

@@ -10,30 +10,52 @@ from multiprocessing import Pool
 import pytest
 
 from charsum.characters import Character
-from charsum.cyclotomic import add, from_int, mul, one, root_of_unity, scalar_mul, sqrt2
 from charsum.evaluator import (
     CASE_LARGE_EVEN,
     CASE_LARGE_ODD,
     SumInstance,
     closed_form,
+    derive,
     evaluate_large,
-    solve_characteristic,
 )
 from charsum.oracle import brute_force, half_sum
 from charsum.ring2adic import jacobi2, v2
-from charsum.sweep import (
-    exhaustive_records,
-    run_check,
-    sample_large_nonzero,
-    sample_records,
-    sample_violating,
-)
+from charsum.sweep import Record, _aimed_record, exhaustive_records, run_check, sample_records
+from ringref import add, from_int, mul, root_of_unity, scalar_mul, solve_characteristic, sqrt2
 
 JOBS = 2
 REGIME_TAGS = (
     "LargeEven", "LargeOdd", "MidRange", "EdgeT3", "EdgeT2", "Tiny",
     "ZeroParity", "ZeroImprimitive", "ZeroCondition",
 )
+
+
+def sample_violating(seed: int, m_min: int, m_max: int, count: int) -> list[Record]:
+    """Instances breaking the standing hypotheses: even B, same parity,
+    imprimitive chi2, or two imprimitive characters."""
+    rng = random.Random(seed)
+    aims = ("Swap", "ZeroParity", "ZeroImprimitive", "Reduced")
+    out: list[Record] = []
+    i = 0
+    while len(out) < count:
+        m = rng.randint(m_min, m_max)
+        rec = _aimed_record(rng, m, aims[i % len(aims)])
+        i += 1
+        if rec is not None:
+            out.append(rec)
+    return out
+
+
+def sample_large_nonzero(seed: int, m_min: int, m_max: int, count: int) -> list[Record]:
+    """Large-regime records whose closed form is guaranteed nonzero (odd k)."""
+    rng = random.Random(seed)
+    out: list[Record] = []
+    while len(out) < count:
+        m = rng.randint(max(m_min, 6), m_max)
+        rec = _aimed_record(rng, m, rng.choice(("LargeEven", "LargeOdd")))
+        if rec is not None:
+            out.append(rec)
+    return out
 
 
 def _report(num, name, ok, detail):
@@ -137,14 +159,15 @@ def test_criterion_5_representative_independence():
         inst = SumInstance(m, a, b, k)
         chi1 = Character(m, s1, c1)
         chi2 = Character(m, s2, c2)
-        sols = solve_characteristic(inst, chi1, chi2)
-        if len(sols.solutions) < 2:
+        _, sols = solve_characteristic(inst, chi1, chi2)
+        if len(sols) < 2:
             continue
         multi += 1
-        forms = [evaluate_large(inst, chi1, chi2, x0=x) for x in sols.solutions]
+        params = derive(inst)
+        forms = [evaluate_large(inst, chi1, chi2, params, x0=x) for x in sols]
         if any(f.terms != forms[0].terms or f.is_zero() for f in forms):
             bad += 1
-        checked += len(sols.solutions)
+        checked += len(sols)
     ok = bad == 0 and multi >= 1000
     _report(
         5, "representative independence of x0", ok,
@@ -156,7 +179,7 @@ def test_criterion_6_eighth_root_identity():
     bad = 0
     for r in (3, 4, 6, 8):
         for h in (1, 3, 5, 7):
-            lhs = add(one(r), root_of_unity(r, 2 * h << (r - 3)))
+            lhs = add(from_int(1, r), root_of_unity(r, 2 * h << (r - 3)))
             rhs = scalar_mul(jacobi2(h), mul(sqrt2(r), root_of_unity(r, h << (r - 3))))
             if lhs != rhs:
                 bad += 1
@@ -201,9 +224,9 @@ def test_criterion_7_solver_completeness():
     biggest = 0
     for m, a, b, k, c1, c2 in cases:
         inst = SumInstance(m, a, b, k)
-        sols = solve_characteristic(inst, Character(m, 1, c1), Character(m, 1, c2))
-        biggest = max(biggest, sols.w)
-        if sols.solutions != _brute_filter(m, a, b, k, c1, c2, sols.w):
+        w, sols = solve_characteristic(inst, Character(m, 1, c1), Character(m, 1, c2))
+        biggest = max(biggest, w)
+        if sols != _brute_filter(m, a, b, k, c1, c2, w):
             bad += 1
     _report(
         7, "characteristic solver completeness", bad == 0,

@@ -117,6 +117,53 @@ def test_width_cap_exit_3(capsys):
     assert code == 3  # oracle refuses above its own cap
 
 
+@pytest.mark.parametrize("command", ["eval", "bench"])
+def test_huge_m_exits_3_without_traceback(capsys, command):
+    code = main([command, "--m", "1" + "0" * 30])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_check_refuses_nonpositive_samples(capsys, samples):
+    with pytest.raises(SystemExit) as exc:
+        main(["check", "--samples", samples])
+    assert exc.value.code == 2
+    assert "--samples: expected a positive integer" in capsys.readouterr().err
+
+
+def test_check_refuses_empty_m_range(capsys):
+    code = main(["check", "--exhaustive", "--m-min", "5", "--m-max", "4"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --m-min 5 exceeds --m-max 4\n"
+
+
+@pytest.mark.parametrize("argv", [
+    ["grid", "--m", "27", "--out", os.devnull],
+    ["check", "--exhaustive", "--m-min", "27", "--m-max", "27"],
+    ["check", "--m-max", "27", "--samples", "5"],
+])
+def test_wide_sweeps_refused_before_allocating(argv):
+    # 1 GiB of address space: building the 2^27-wide lists would fail long before
+    script = (
+        "import resource, sys; "
+        "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30)); "
+        "from charsum.cli import main; sys.exit(main(sys.argv[1:]))"
+    )
+    src = os.path.dirname(os.path.dirname(charsum.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, *argv], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert proc.stdout == ""
+    assert proc.stderr == "error: modulus exponent 27 exceeds cap 26\n"
+
+
 @pytest.mark.parametrize("exc", [AssertionError, RuntimeError])
 def test_internal_error_exit_5(capsys, monkeypatch, exc):
     def broken(inst, chi1, chi2):

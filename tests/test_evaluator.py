@@ -9,11 +9,10 @@ from charsum.characters import (
     char_conj,
     char_mul,
     char_pow,
-    eval_char,
     principal,
     sign_mod4,
 )
-from charsum.cyclotomic import CycInt, add, conj, from_int, mul, scalar_mul
+from charsum.cyclotomic import CycInt
 from charsum.errors import WidthCapError
 from charsum.evaluator import (
     CASE_EDGE_T2,
@@ -34,15 +33,14 @@ from charsum.evaluator import (
     characteristic_value,
     closed_form,
     derive,
-    evaluate,
     evaluate_large,
     evaluate_small,
     evaluate_tiny,
     normalize,
-    solve_characteristic,
 )
 from charsum.oracle import brute_force
 from charsum.ring2adic import dlog5, v2
+from ringref import add, conj, eval_char, from_int, mul, scalar_mul, solve_characteristic
 
 
 def chars(m, s1, c1, s2, c2):
@@ -136,9 +134,9 @@ def test_characteristic_value_undefined_for_tiny():
 
 def test_solver_worked_instance():
     inst = SumInstance(7, 2, 1, 1)
-    sols = solve_characteristic(inst, *chars(7, 1, 2, 1, 1))
-    assert sols.w == 4
-    assert sols.solutions == (1, 9)
+    w, sols = solve_characteristic(inst, *chars(7, 1, 2, 1, 1))
+    assert w == 4
+    assert sols == (1, 9)
 
 
 def test_solver_preconditions():
@@ -168,13 +166,12 @@ def test_solver_matches_filter(seed):
             continue
         c2 = rng.randrange(1, cmax, 2)
         chi1, chi2 = chars(m, 1, c1, 1, c2)
-        sols = solve_characteristic(inst, chi1, chi2)
-        mod = 1 << sols.w
+        w, sols = solve_characteristic(inst, chi1, chi2)
         filt = tuple(
-            x for x in range(1, mod, 2)
-            if reference_c(x, m, A, inst.B, k, c1, c2, sols.w) == 0
+            x for x in range(1, 1 << w, 2)
+            if reference_c(x, m, A, inst.B, k, c1, c2, w) == 0
         )
-        assert sols.solutions == filt
+        assert sols == filt
         found += 1
 
 
@@ -212,8 +209,8 @@ def large_instances(draw):
 @given(large_instances())
 def test_large_witness_is_smallest_solution(case):
     inst, chi1, chi2 = case
-    sols = solve_characteristic(inst, chi1, chi2).solutions
-    cf = evaluate_large(inst, chi1, chi2)
+    _, sols = solve_characteristic(inst, chi1, chi2)
+    cf = evaluate_large(inst, chi1, chi2, derive(inst))
     if sols:
         assert cf.x0 == min(sols)
         assert cf.case in (CASE_LARGE_EVEN, CASE_LARGE_ODD)
@@ -228,7 +225,8 @@ def test_normalize_same_parity_is_zero():
     for a, b in ((1, 3), (0, 2), (6, 4), (5, 7)):
         norm = normalize(SumInstance(5, a, b, 2), *chars(5, 1, 1, 1, 1))
         assert norm.kind == "zero" and norm.zero_case == CASE_ZERO_PARITY
-        cf, val = evaluate(SumInstance(5, a, b, 2), *chars(5, 1, 1, 1, 1))
+        cf = closed_form(SumInstance(5, a, b, 2), *chars(5, 1, 1, 1, 1))
+        val = cf.value()
         assert cf.case == CASE_ZERO_PARITY and val.is_zero()
 
 
@@ -248,7 +246,8 @@ def test_normalize_swap_formula_and_value():
     assert norm.chi1 == char_conj(char_mul(chi1, char_pow(chi2, 3)))
     assert norm.chi2 == chi2
     assert norm.scale_log2 == 0
-    cf, val = evaluate(inst, chi1, chi2)
+    cf = closed_form(inst, chi1, chi2)
+    val = cf.value()
     assert val == brute_force(inst, chi1, chi2)
     assert not val.is_zero()  # this one actually exercises the swapped pipeline
 
@@ -260,7 +259,8 @@ def test_normalize_reduction_scale_and_value():
     norm = normalize(inst, chi1, chi2)
     assert norm.kind == "standard"
     assert norm.inst.m == 4 and norm.scale_log2 == 2
-    cf, val = evaluate(inst, chi1, chi2)
+    cf = closed_form(inst, chi1, chi2)
+    val = cf.value()
     assert cf.scale_log2 == 2
     assert val == brute_force(inst, chi1, chi2)
 
@@ -273,7 +273,8 @@ def test_normalize_direct_mod4_path():
             chi1, chi2 = Character(6, s1, 16), Character(6, s2, 16)
             norm = normalize(inst, chi1, chi2)
             assert norm.kind == "direct"
-            cf, val = evaluate(inst, chi1, chi2)
+            cf = closed_form(inst, chi1, chi2)
+            val = cf.value()
             assert cf.case == CASE_REDUCED and cf.scale_log2 == 4
             assert val == brute_force(inst, chi1, chi2)
 
@@ -284,7 +285,8 @@ def test_normalize_direct_mod4_path():
 def test_large_even_worked_instance_frozen():
     inst = SumInstance(7, 2, 1, 1)
     chi1, chi2 = chars(7, 1, 2, 1, 1)
-    cf, val = evaluate(inst, chi1, chi2)
+    cf = closed_form(inst, chi1, chi2)
+    val = cf.value()
     assert cf.case == CASE_LARGE_EVEN
     assert cf.x0 == 1 and cf.lambda_parity == 1 and cf.h is None
     assert cf.magnitude_halves == 8
@@ -298,7 +300,8 @@ def test_large_even_worked_instance_frozen():
 def test_large_zero_when_power_condition_fails():
     inst = SumInstance(7, 2, 1, 1)
     chi1, chi2 = chars(7, 1, 32, 1, 1)  # c1 = 2^(m-2): cofactor even
-    cf, val = evaluate(inst, chi1, chi2)
+    cf = closed_form(inst, chi1, chi2)
+    val = cf.value()
     assert cf.case == CASE_ZERO_CONDITION and val.is_zero()
     assert brute_force(inst, chi1, chi2).is_zero()
 
@@ -306,7 +309,8 @@ def test_large_zero_when_power_condition_fails():
 def test_large_zero_when_sign_condition_fails():
     inst = SumInstance(8, 2, 1, 2)
     chi1, chi2 = chars(8, -1, 4, 1, 3)  # k even needs chi1(-1) = +1
-    cf, val = evaluate(inst, chi1, chi2)
+    cf = closed_form(inst, chi1, chi2)
+    val = cf.value()
     assert cf.case == CASE_ZERO_CONDITION
     assert brute_force(inst, chi1, chi2).is_zero()
 
@@ -314,7 +318,8 @@ def test_large_zero_when_sign_condition_fails():
 def test_large_odd_carries_sqrt2_and_magnitude():
     inst = SumInstance(8, 2, 1, 1)
     chi1, chi2 = chars(8, 1, 2, 1, 1)
-    cf, val = evaluate(inst, chi1, chi2)
+    cf = closed_form(inst, chi1, chi2)
+    val = cf.value()
     assert cf.case == CASE_LARGE_ODD
     assert cf.h is not None and cf.h % 2 == 1
     assert cf.magnitude_halves == 8 + 1 + 0 + 0  # m + n + 2t + 2*min(1,t)
@@ -327,9 +332,9 @@ def test_large_odd_carries_sqrt2_and_magnitude():
 def test_large_representative_independence():
     inst = SumInstance(9, 4, 3, 3)
     chi1, chi2 = chars(9, -1, 4, 1, 5)
-    sols = solve_characteristic(inst, chi1, chi2)
-    assert len(sols.solutions) >= 2
-    forms = [evaluate_large(inst, chi1, chi2, x0=x) for x in sols.solutions]
+    _, sols = solve_characteristic(inst, chi1, chi2)
+    assert len(sols) >= 2
+    forms = [evaluate_large(inst, chi1, chi2, derive(inst), x0=x) for x in sols]
     assert all(f.terms == forms[0].terms for f in forms)
     assert forms[0].value() == brute_force(inst, chi1, chi2)
 
@@ -353,13 +358,13 @@ def test_large_solution_dlog_progression():
             continue
         inst = SumInstance(m, A, rng.randrange(1, 1 << m, 2), k)
         chi1, chi2 = chars(m, 1, c1, 1, rng.randrange(1, cmax, 2))
-        sols = solve_characteristic(inst, chi1, chi2)
-        if len(sols.solutions) < 2 or sols.w < 3:
+        w, sols = solve_characteristic(inst, chi1, chi2)
+        if len(sols) < 2 or w < 3:
             continue
         step_exp = max((m - n) // 2 - t - 2, 0)
         by_sign = {}
-        for x in sols.solutions:
-            eps, gamma = dlog5(x, sols.w)
+        for x in sols:
+            eps, gamma = dlog5(x, w)
             by_sign.setdefault(eps, set()).add(gamma % (1 << step_exp))
         assert all(len(v) == 1 for v in by_sign.values())
         hits += 1
@@ -372,20 +377,24 @@ def test_edge_t2_rows():
     # m - n = t + 2, even k: principal chi1 keeps the sum alive
     inst = SumInstance(6, 8, 3, 2)
     chi2 = Character(6, 1, 5)
-    cf, val = evaluate(inst, principal(6), chi2)
+    cf = closed_form(inst, principal(6), chi2)
+    val = cf.value()
     assert cf.case == CASE_EDGE_T2
     assert val == scalar_mul(1 << 5, eval_char(chi2, 11, val.r))
     assert val == brute_force(inst, principal(6), chi2)
     # any other chi1 dies
-    cf2, val2 = evaluate(inst, Character(6, -1, 16), chi2)
+    cf2 = closed_form(inst, Character(6, -1, 16), chi2)
+    val2 = cf2.value()
     assert cf2.case == CASE_ZERO_CONDITION and val2.is_zero()
     assert brute_force(inst, Character(6, -1, 16), chi2).is_zero()
     # odd k wants the mod-4 sign character
     inst = SumInstance(5, 8, 3, 1)
-    cf3, val3 = evaluate(inst, sign_mod4(5), Character(5, 1, 3))
+    cf3 = closed_form(inst, sign_mod4(5), Character(5, 1, 3))
+    val3 = cf3.value()
     assert cf3.case == CASE_EDGE_T2
     assert val3 == brute_force(inst, sign_mod4(5), Character(5, 1, 3))
-    cf4, val4 = evaluate(inst, principal(5), Character(5, 1, 3))
+    cf4 = closed_form(inst, principal(5), Character(5, 1, 3))
+    val4 = cf4.value()
     assert cf4.case == CASE_ZERO_CONDITION and val4.is_zero()
 
 
@@ -395,7 +404,8 @@ def test_edge_t3_two_term_row():
     inst = SumInstance(m, 8, 3, 1)
     chi1 = Character(m, -1, 1 << (m - 3))
     chi2 = Character(m, 1, 5)
-    cf, val = evaluate(inst, chi1, chi2)
+    cf = closed_form(inst, chi1, chi2)
+    val = cf.value()
     assert cf.case == CASE_EDGE_T3
     expect = scalar_mul(
         1 << (m - 2),
@@ -416,7 +426,8 @@ def test_edge_t3_principal_chi1_dies():
     assert derive(inst).regime == "EdgeT3"
     chi2 = Character(m, 1, 1)
     for chi1 in (principal(m), sign_mod4(m)):
-        cf, val = evaluate(inst, chi1, chi2)
+        cf = closed_form(inst, chi1, chi2)
+        val = cf.value()
         assert val.is_zero()
         assert brute_force(inst, chi1, chi2).is_zero()
 
@@ -440,7 +451,8 @@ def test_midrange_rows_and_exclusivity():
         cmax = 1 << (m - 2)
         chi1 = Character(m, rng.choice((1, -1)), rng.randint(1, cmax))
         chi2 = Character(m, rng.choice((1, -1)), rng.randrange(1, cmax, 2))
-        cf, val = evaluate(inst, chi1, chi2)
+        cf = closed_form(inst, chi1, chi2)
+        val = cf.value()
         assert val == brute_force(inst, chi1, chi2)
         if cf.case == CASE_MIDRANGE:
             seen_nonzero += 1
@@ -462,18 +474,21 @@ def test_midrange_rows_and_exclusivity():
 def test_tiny_rows():
     inst = SumInstance(4, 8, 1, 4)
     chi2 = Character(4, -1, 1)
-    cf, val = evaluate(inst, principal(4), chi2)
+    cf = closed_form(inst, principal(4), chi2)
+    val = cf.value()
     assert cf.case == CASE_TINY
     assert val == scalar_mul(8, eval_char(chi2, 9, val.r))
     assert val == brute_force(inst, principal(4), chi2)
-    cf2, val2 = evaluate(inst, Character(4, -1, 4), chi2)
+    cf2 = closed_form(inst, Character(4, -1, 4), chi2)
+    val2 = cf2.value()
     assert cf2.case == CASE_ZERO_CONDITION and val2.is_zero()
 
 
 def test_tiny_zero_coefficient():
     inst = SumInstance(5, 0, 7, 3)
     chi2 = Character(5, 1, 5)
-    cf, val = evaluate(inst, principal(5), chi2)
+    cf = closed_form(inst, principal(5), chi2)
+    val = cf.value()
     assert cf.case == CASE_TINY
     assert val == scalar_mul(16, eval_char(chi2, 7, val.r))
     assert val == brute_force(inst, principal(5), chi2)
@@ -490,7 +505,8 @@ def test_evaluate_random_instances_match_oracle():
         inst = SumInstance(m, rng.randrange(mod), rng.randrange(mod), rng.randint(1, 30))
         chi1 = Character(m, rng.choice((1, -1)), rng.randint(1, mod >> 2))
         chi2 = Character(m, rng.choice((1, -1)), rng.randint(1, mod >> 2))
-        cf, val = evaluate(inst, chi1, chi2)
+        cf = closed_form(inst, chi1, chi2)
+        val = cf.value()
         assert val == brute_force(inst, chi1, chi2)
         if cf.terms:
             sq = mul(val, conj(val))

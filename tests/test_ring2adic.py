@@ -8,10 +8,7 @@ from charsum.ring2adic import (
     _DLOG_W,
     dlog5,
     five_pow_cofactor,
-    inv_mod2w,
     jacobi2,
-    odd_part,
-    pow_mod2w,
     v2,
 )
 
@@ -26,34 +23,6 @@ def test_v2_rejects_nonpositive():
         v2(0)
     with pytest.raises(ValueError):
         v2(-4)
-
-
-def test_odd_part():
-    assert odd_part(12) == 3
-    assert odd_part(1) == 1
-    assert odd_part(64) == 1
-
-
-@pytest.mark.parametrize("y,w,z", [(3, 5, 11), (1, 10, 1), (5, 4, 13)])
-def test_inv_examples(y, w, z):
-    assert inv_mod2w(y, w) == z
-
-
-def test_inv_rejects_even():
-    with pytest.raises(ValueError):
-        inv_mod2w(6, 5)
-
-
-@pytest.mark.parametrize("w", range(1, 13))
-def test_inv_exhaustive(w):
-    mod = 1 << w
-    for y in range(1, mod, 2):
-        assert inv_mod2w(y, w) * y % mod == 1
-
-
-@pytest.mark.parametrize("b,e,w,out", [(5, 2, 5, 25), (5, 0, 8, 1), (3, 2, 3, 1)])
-def test_pow_examples(b, e, w, out):
-    assert pow_mod2w(b, e, w) == out
 
 
 @pytest.mark.parametrize("i,w,out", [(2, 8, 1), (3, 8, 3), (4, 4, 7)])
