@@ -37,14 +37,17 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s2", type=int, default=1, choices=(1, -1), help="chi2(-1)")
 
 
-def _check_cap(m: int, cap: int) -> None:
-    """Refuse m above cap (exit 3) before anything of size 2^m is built."""
+def _check_m(flag: str, m: int, cap: int) -> None:
+    """Refuse m outside [3, cap] before anything of size 2^m is built:
+    below 3 is a usage error (exit 2), above cap a width cap (exit 3)."""
+    if m < 3:
+        raise ValueError(f"{flag} {m} is outside [3, {cap}]")
     if m > cap:
         raise WidthCapError(f"modulus exponent {m} exceeds cap {cap}")
 
 
 def _instance(args) -> tuple[SumInstance, Character, Character]:
-    _check_cap(args.m, MAX_M)
+    _check_m("--m", args.m, MAX_M)
     mod = 1 << args.m
     inst = SumInstance(args.m, args.A % mod, args.B % mod, args.k)
     return inst, Character(args.m, args.s1, args.c1), Character(args.m, args.s2, args.c2)
@@ -61,7 +64,12 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    return tuple(int(x) for x in text.split(",") if x.strip())
+    values = tuple(int(x) for x in text.split(",") if x.strip())
+    if not values:
+        raise argparse.ArgumentTypeError(
+            f"expected a non-empty comma-separated list of integers, got {text!r}"
+        )
+    return values
 
 
 def cmd_eval(args) -> int:
@@ -94,7 +102,8 @@ def cmd_check(args) -> int:
 
     if args.m_min > args.m_max:
         raise ValueError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
-    _check_cap(args.m_max, MAX_ORACLE_M)
+    _check_m("--m-min", args.m_min, MAX_ORACLE_M)
+    _check_m("--m-max", args.m_max, MAX_ORACLE_M)
     jobs = args.jobs or default_jobs()
     if args.exhaustive:
         ks = DEFAULT_KS if args.k_list is None else args.k_list
@@ -148,7 +157,7 @@ def cmd_grid(args) -> int:
     from .sweep import DEFAULT_KS, GRID_HEADER, default_jobs, grid_rows
 
     m = args.m
-    _check_cap(m, MAX_ORACLE_M)
+    _check_m("--m", m, MAX_ORACLE_M)
     mod = 1 << m
     cmax = 1 << (m - 2)
     a_list = args.A_list if args.A_list else tuple(range(mod))

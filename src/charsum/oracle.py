@@ -15,9 +15,15 @@ h = max(ceil(m/2), 2), a per-modulus table over the 2^(h-1) odd residues
 lo < 2^h gives the sign, l = dlog(+-lo) mod 2^(h-2) and M = +-5^(-l) mod 2^m,
 so y*M = 1 + 2^h*z (mod 2^m).  Because 2h >= m, the group 1 + 2^h*Z/2^m is
 cyclic, generated by 5^(2^(h-2)) = 1 + 2^h*u, and the log of y is
-l + 2^(h-2) * (z * u^-1 mod 2^(m-h)).  The table has 2^12 entries at m = 26;
-each call folds chi2 into a table of the same size, so a term costs one
-lookup, two multiplications and one count.
+l + 2^(h-2) * (z * u^-1 mod 2^(m-h)).  The table has 2^12 entries at m = 26.
+
+Row split: lo = y mod 2^h depends on gamma only through 5^(gamma k) mod 2^h,
+and 5^(2^(h-2)) = 1 (mod 2^h), so only through gamma mod 2^(h-2).  Writing
+gamma = g + 2^(h-2)*j, each call builds per half one row per g, 2^(h-2) rows
+holding everything about the term that depends on g and lo alone: a
+multiplier pm and an offset q.  The outer loop over j carries
+a = a_res * 5^(k 2^(h-2) j) and chi1's step e, so a term costs one
+multiply-add, a mask, a shift and one count, with no table lookup.
 """
 
 from __future__ import annotations
@@ -64,44 +70,56 @@ def _sum(
     weight: int,
 ) -> CycInt:
     """weight * sum over (a_res, base) in halves of
-    sum_gamma zeta_{2^r}^base * chi1(5^gamma) * chi2(a_res * 5^(gamma k) + B)."""
+    sum_gamma zeta_{2^r}^base * chi1(5^gamma) * chi2(a_res * 5^(gamma k) + B).
+
+    Exponents are carried times 2^drop as residues mod 2^m, so that
+    Z/2^r = Z/2^(m - drop): a character exponent c*L in Z/2^(m-2) is c*L << 2
+    and a half turn is 2^(m-1).  With (negative, l, M) = low[y mod 2^h] and
+    y*M = 1 + 2^h*z, chi2(y) has exponent (c2*l << 2) + 2^(m-1)*negative +
+    cu*(y*M - 1) with cu = c2 * u^-1 mod 2^(m-h): the high part of c2*log(y)
+    is c2 * 2^(h-2) * (z * u^-1 mod 2^(m-h)).  Every part is a multiple of
+    2^drop, so the sum reduced mod 2^m and shifted right by drop is the
+    term's exponent in Z/2^r exactly, whatever multiple of 2^m it carried.
+
+    Row split: y mod 2^h depends on gamma only through gamma mod 2^(h-2).
+    For gamma = g + 2^(h-2)*j and a = a_res * 5^(k 2^(h-2) j), each half
+    builds one row per g, with mcu = M*cu for the row's low residue:
+        pm = 5^(kg) * mcu,  q = B*mcu - cu + (base << drop)
+                                + ((c1*g + c2*l) << 2) + 2^(m-1)*negative,
+    and the outer loop over j carries a and e = j * (c1 << h).  Each term is
+    one count at ((a*pm + q + e) mod 2^m) >> drop.
+    """
     m = inst.m
     r = ring_exponent_for(m)
     if weight == 0 or (inst.A + inst.B) % 2 == 0:
         return zero(r)
     mod = 1 << m
     mmask = mod - 1
-    half = 1 << (r - 1)
-    rmask = (1 << r) - 1
-    shift = r - (m - 2)  # Z/2^(m-2) exponents -> Z/2^r
-    drop = 2 - shift  # 0 <= drop <= 2
+    drop = m - r  # 0 <= drop <= 2
     h, uinv, low = _low_logs(m)
-    # chi2(y) = zeta^(elo[lo] + (y * mc[lo] >> drop)) with lo = y mod 2^h.
-    # The high part of c2 * log(y), shifted into Z/2^r, is
-    # (cu * (y*M - 1) mod 2^m) >> drop; cu * (y*M - 1) is a multiple of
-    # 2^h >= 4 before the reduction, so modulo 2^r it splits exactly into
-    # (y * cu*M >> drop) - (cu >> drop), whatever multiple of 2^m y carries.
-    c2 = chi2.c
-    cu = c2 * uinv % (1 << (m - h))
-    flip2 = half if chi2.s == -1 else 0
-    elo = [0] * len(low)
-    mc = [0] * len(low)
-    for lo, entry in enumerate(low):
-        if entry is not None:
-            negative, l, mlo = entry
-            elo[lo] = ((c2 * l) << shift) + (flip2 if negative else 0) - (cu >> drop)
-            mc[lo] = mlo * cu & mmask
     hmask = (1 << h) - 1
     b = inst.B
+    c1, c2 = chi1.c, chi2.c
+    cu = c2 * uinv % (1 << (m - h))
+    turn2 = mod >> 1 if chi2.s == -1 else 0
     fk = pow(5, inst.k, mod)
-    step = chi1.c << shift  # 2^r for a principal chi1: exponent 0 every term
     cnt = [0] * (1 << r)
-    for ap, base in halves:  # ap runs over a_res * 5^(gamma k) mod 2^m
-        for e1 in range(base, base + (step << (m - 2)), step):
-            y = ap + b
-            lo = y & hmask
-            cnt[(e1 + elo[lo] + (y * mc[lo] >> drop)) & rmask] += 1
-            ap = ap * fk & mmask
+    for a, base in halves:
+        rows = []
+        off = (base << drop) - cu
+        z = 1  # 5^(kg) mod 2^m
+        for g in range(1 << (h - 2)):
+            negative, l, mlo = low[(a * z + b) & hmask]
+            mcu = mlo * cu
+            q = b * mcu + off + ((c1 * g + c2 * l) << 2) + (turn2 if negative else 0)
+            rows.append((z * mcu & mmask, q & mmask))
+            z = z * fk & mmask
+        # z is now 5^(k 2^(h-2)), the step of a from one j to the next
+        for e in range(0, c1 << m, c1 << h):
+            for pm, q in rows:
+                cnt[((a * pm + q + e) & mmask) >> drop] += 1
+            a = a * z & mmask
+    half = 1 << (r - 1)
     return CycInt(r, tuple(weight * (cnt[e] - cnt[e + half]) for e in range(half)))
 
 

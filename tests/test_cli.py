@@ -142,6 +142,36 @@ def test_check_refuses_empty_m_range(capsys):
     assert captured.err == "error: --m-min 5 exceeds --m-max 4\n"
 
 
+@pytest.mark.parametrize("argv, flag, value, cap", [
+    (["eval", "--m", "-1"], "--m", -1, 30),
+    (["eval", "--m", "2", "--method", "closed"], "--m", 2, 30),
+    (["bench", "--m", "-1"], "--m", -1, 30),
+    (["grid", "--m", "-1", "--out", os.devnull], "--m", -1, 26),
+    (["check", "--exhaustive", "--m-min", "-1"], "--m-min", -1, 26),
+    (["check", "--m-min", "2", "--m-max", "4", "--samples", "5"], "--m-min", 2, 26),
+], ids=["eval", "eval-m2", "bench", "grid", "check-exhaustive", "check-sampled-m2"])
+def test_m_below_3_exits_2_naming_flag_and_range(capsys, argv, flag, value, cap):
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} {value} is outside [3, {cap}]\n"
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["check", "--exhaustive", "--m-min", "3", "--m-max", "3", "--k-list", ""], "--k-list"),
+    (["grid", "--m", "3", "--out", os.devnull, "--k-list", ","], "--k-list"),
+    (["grid", "--m", "3", "--out", os.devnull, "--A-list", ","], "--A-list"),
+], ids=["check-k-list", "grid-k-list", "grid-A-list"])
+def test_empty_int_list_exits_2(capsys, argv, flag):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"error: argument {flag}: expected a non-empty" in captured.err
+
+
 @pytest.mark.parametrize("argv", [
     ["grid", "--m", "27", "--out", os.devnull],
     ["check", "--exhaustive", "--m-min", "27", "--m-max", "27"],

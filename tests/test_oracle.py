@@ -1,13 +1,14 @@
+import functools
 import random
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charsum.characters import Character, principal, sign_mod4
+from charsum.characters import Character, char_exp, principal, sign_mod4
 from charsum.cyclotomic import CycInt, zero
 from charsum.errors import WidthCapError
-from charsum.evaluator import SumInstance, ring_exponent_for
+from charsum.evaluator import SumInstance, closed_form, ring_exponent_for
 from charsum.oracle import _low_logs, brute_force, half_sum
 from ringref import add, eval_char, from_int, mul, scalar_mul
 
@@ -156,9 +157,69 @@ def _reference_sum(inst, chi1, chi2, xs):
 @example((SumInstance(8, 6, 3, 5), principal(8), Character(8, -1, 7)))  # principal chi1
 @example((SumInstance(5, 2, 1, 4), Character(5, -1, 3), Character(5, 1, 1)))  # even k, s1 = -1
 @example((SumInstance(3, 2, 1, 2), principal(3), Character(3, 1, 1)))  # smallest ring
+@example((SumInstance(4, 1, 0, 1), Character(4, -1, 1), Character(4, -1, 3)))  # one row, drop 1
+@example((SumInstance(5, 1, 0, 1), Character(5, -1, 1), Character(5, -1, 7)))  # two rows, drop 2
 def test_oracle_matches_independent_reference(case):
     inst, chi1, chi2 = case
     mod = 1 << inst.m
     assert brute_force(inst, chi1, chi2) == _reference_sum(inst, chi1, chi2, range(mod))
     plus = [pow(5, g, mod) for g in range(mod >> 2)]
     assert half_sum(inst, chi1, chi2, 1) == _reference_sum(inst, chi1, chi2, plus)
+
+
+def _counted_sum(inst, chi1, chi2, xs, a):
+    """sum of chi1(x) chi2(a x^k + B) over xs: one count per x on the exponent
+    of its term, read from characters.char_exp, folded at the end."""
+    r = ring_exponent_for(inst.m)
+    mod, half = 1 << inst.m, 1 << (r - 1)
+    cnt = [0] * (1 << r)
+    for x in xs:
+        y = (a * pow(x, inst.k, mod) + inst.B) % mod
+        if y % 2:
+            e1, s1 = char_exp(chi1, x, r)
+            e2, s2 = char_exp(chi2, y, r)
+            cnt[(e1 + e2 + (half if s1 != s2 else 0)) % (1 << r)] += 1
+    return CycInt(r, tuple(cnt[e] - cnt[e + half] for e in range(half)))
+
+
+@functools.cache
+def _boundary_cases():
+    """40 seeded instances at m = 10..18 with A + B odd, cycling through the
+    shapes where the row split could slip: odd A (lo = y mod 2^h then runs
+    through its full period, so too short a row period shows), even k with
+    t = 1..3, k a multiple of 2^(m-2), a principal chi1, s2 = -1 and A = 0.
+    Each but the A = 0 ones is redrawn until its closed form is nonzero, so
+    the counts do not cancel."""
+    rng = random.Random(2026)
+    cases = []
+    ms = [10] * 8 + [11] * 7 + [12] * 6 + [13] * 6 + [14] * 5 + [15] * 3 + [16] * 3 + [18, 17]
+    for i, m in enumerate(ms):
+        mod, cmax = 1 << m, 1 << (m - 2)
+        shape = i % 8
+        while True:
+            k = rng.randrange(1, 40, 2)
+            if shape in (1, 2, 3):
+                k <<= shape
+            elif shape == 4:
+                k *= cmax  # x^k = 1: only a principal chi1 leaves the sum nonzero
+            a = 0 if shape == 7 else rng.randrange(shape == 0, mod, 1 + (shape == 0))
+            b = rng.randrange(1 - a % 2, mod, 2)
+            s1 = 1 if k % 2 == 0 else rng.choice((1, -1))  # even k with s1 = -1 sums to 0
+            chi1 = principal(m) if shape in (4, 5) else Character(m, s1, rng.randint(1, cmax))
+            s2 = -1 if shape == 6 else rng.choice((1, -1))
+            case = (SumInstance(m, a, b, k), chi1, Character(m, s2, rng.randint(1, cmax)))
+            if shape == 7 or not closed_form(*case).is_zero():
+                cases.append(case)
+                break
+    return cases
+
+
+@pytest.mark.parametrize("index", range(40))
+def test_oracle_matches_per_x_count_at_row_boundaries(index):
+    inst, chi1, chi2 = _boundary_cases()[index]
+    mod = 1 << inst.m
+    odd = range(1, mod, 2)
+    plus = range(1, mod, 4)  # the x = 5^gamma, each once
+    assert brute_force(inst, chi1, chi2) == _counted_sum(inst, chi1, chi2, odd, inst.A)
+    assert half_sum(inst, chi1, chi2, 1) == _counted_sum(inst, chi1, chi2, plus, inst.A)
+    assert half_sum(inst, chi1, chi2, -1) == _counted_sum(inst, chi1, chi2, plus, mod - inst.A)
