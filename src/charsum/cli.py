@@ -64,7 +64,10 @@ def _positive_int(text: str) -> int:
 
 
 def _parse_int_list(text: str) -> tuple[int, ...]:
-    values = tuple(int(x) for x in text.split(",") if x.strip())
+    try:
+        values = tuple(int(x) for x in text.split(",") if x.strip())
+    except ValueError:
+        values = ()
     if not values:
         raise argparse.ArgumentTypeError(
             f"expected a non-empty comma-separated list of integers, got {text!r}"
@@ -213,7 +216,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", dest="k_list", type=_parse_int_list, default=None,
                    help="comma-separated k values (exhaustive mode)")
     p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="worker processes (default: CHARSUM_JOBS or CPU count)")
+                   help="processes, this one included (default: CHARSUM_JOBS or CPU count)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bench", help="time closed form vs oracle on one instance")
@@ -231,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s1-list", dest="s1_list", type=_parse_int_list, default=())
     p.add_argument("--s2-list", dest="s2_list", type=_parse_int_list, default=())
     p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="worker processes (default: CHARSUM_JOBS or CPU count)")
+                   help="processes, this one included (default: CHARSUM_JOBS or CPU count)")
     p.set_defaults(func=cmd_grid)
     return ap
 

@@ -7,6 +7,13 @@ dense vector is built); Large-regime results additionally get their squared
 magnitude, a sparse product of the matched terms, checked against the regime
 formula.  Sampling is seeded and single-streamed, so reports are reproducible
 and independent of the worker count.
+
+Parallel runs go through `_pool_map`: with `jobs` processes, the calling
+process computes every jobs-th chunk itself and jobs - 1 child processes
+compute the rest.  Each child sends back its results or its exception over a
+pipe; the exception is re-raised in the caller with its type unchanged (so an
+AssertionError stays an internal error), and a child that dies without
+answering raises RuntimeError.  No child outlives the call.
 """
 
 from __future__ import annotations
@@ -105,20 +112,70 @@ def _check_chunk(recs: list[Record]) -> tuple:
     return len(recs), mismatches, tags, mag_bad, t_closed, t_brute
 
 
+def _worker(func, chunks: list[list[Record]], conn) -> None:
+    """Child side of `_pool_map`: one message, ("ok", results) or ("error", exc)."""
+    try:
+        msg = ("ok", [func(chunk) for chunk in chunks])
+    except Exception as ex:
+        msg = ("error", ex)
+    conn.send(msg)
+    conn.close()
+
+
 def _pool_map(func, records: list[Record], jobs: int) -> list:
     """func over chunks of records, results in record order.
+
+    The records are cut into about jobs * 8 contiguous chunks.  This process
+    computes chunks 0::jobs itself and child p (1 <= p < jobs) computes chunks
+    p::jobs, so `jobs` counts this process; striping keeps the shares even
+    when records are sorted by m.  No child starts without a chunk.  Each
+    child sends back one message on its own pipe: its results, or the
+    exception it raised, which is re-raised here with its type unchanged.  A
+    child that exits without a message raises RuntimeError naming it and its
+    exit code.  On any error the remaining children are terminated and
+    joined before the exception propagates.
 
     Small or single-job runs stay in this process; only a real fan-out
     imports multiprocessing, so processes that never fork do not pay for it.
     """
     if jobs <= 1 or len(records) < 64:
         return [func(records)]
-    from multiprocessing import Pool
+    import multiprocessing
 
     size = max(1, (len(records) + jobs * 8 - 1) // (jobs * 8))
     chunks = [records[i : i + size] for i in range(0, len(records), size)]
-    with Pool(jobs) as pool:
-        return pool.map(func, chunks)
+    results: list = [None] * len(chunks)
+    workers = []
+    try:
+        for p in range(1, min(jobs, len(chunks))):
+            recv, send = multiprocessing.Pipe(duplex=False)
+            proc = multiprocessing.Process(
+                target=_worker, args=(func, chunks[p::jobs], send), daemon=True
+            )
+            proc.start()
+            workers.append((proc, recv))
+            send.close()  # the child holds the only write end, so its exit means EOF here
+        results[0::jobs] = [func(chunk) for chunk in chunks[0::jobs]]
+        for p, (proc, recv) in enumerate(workers, 1):
+            try:
+                status, value = recv.recv()
+            except EOFError:
+                proc.join()
+                raise RuntimeError(
+                    f"sweep worker {p} (pid {proc.pid}) exited with code {proc.exitcode} "
+                    "without sending its results"
+                ) from None
+            if status == "error":
+                raise value
+            results[p::jobs] = value
+            proc.join()
+        return results
+    finally:
+        for proc, recv in workers:
+            if proc.is_alive():
+                proc.terminate()
+            proc.join()
+            recv.close()
 
 
 def run_check(records: list[Record], jobs: int | None = None, seed: int | None = None) -> CheckReport:

@@ -5,7 +5,6 @@ criterion 8."""
 
 import random
 import time
-from multiprocessing import Pool
 
 import pytest
 
@@ -20,7 +19,14 @@ from charsum.evaluator import (
 )
 from charsum.oracle import brute_force, half_sum
 from charsum.ring2adic import jacobi2, v2
-from charsum.sweep import Record, _aimed_record, exhaustive_records, run_check, sample_records
+from charsum.sweep import (
+    Record,
+    _aimed_record,
+    _pool_map,
+    exhaustive_records,
+    run_check,
+    sample_records,
+)
 from ringref import add, from_int, mul, root_of_unity, scalar_mul, solve_characteristic, sqrt2
 
 JOBS = 2
@@ -141,10 +147,7 @@ def _decomposition_chunk(recs):
 
 def test_criterion_4_decomposition_identities():
     records = sample_records(1004, 6, 12, 10_000)
-    size = (len(records) + JOBS * 4 - 1) // (JOBS * 4)
-    chunks = [records[i : i + size] for i in range(0, len(records), size)]
-    with Pool(JOBS) as pool:
-        bad = sum(pool.map(_decomposition_chunk, chunks))
+    bad = sum(_pool_map(_decomposition_chunk, records, JOBS))
     _report(
         4, "half-sum decomposition identities", bad == 0,
         f"{len(records)} instances, {bad} failures",

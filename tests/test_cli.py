@@ -1,8 +1,10 @@
 import dataclasses
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -172,6 +174,22 @@ def test_empty_int_list_exits_2(capsys, argv, flag):
     assert f"error: argument {flag}: expected a non-empty" in captured.err
 
 
+@pytest.mark.parametrize("argv, flag, text", [
+    (["check", "--exhaustive", "--m-min", "3", "--m-max", "3", "--k-list", "1,x"], "--k-list", "1,x"),
+    (["grid", "--m", "3", "--out", os.devnull, "--A-list", "2,,y"], "--A-list", "2,,y"),
+], ids=["check-k-list", "grid-A-list"])
+def test_non_integer_in_int_list_exits_2(capsys, argv, flag, text):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.endswith(
+        f"error: argument {flag}: expected a non-empty comma-separated list of integers, "
+        f"got {text!r}\n"
+    )
+
+
 @pytest.mark.parametrize("argv", [
     ["grid", "--m", "27", "--out", os.devnull],
     ["check", "--exhaustive", "--m-min", "27", "--m-max", "27"],
@@ -234,18 +252,107 @@ def test_check_small_sweep(capsys):
 
 
 def test_check_deterministic_across_jobs(capsys):
+    # 203 records: not a multiple of the chunk count at 2 or 3 jobs
     docs = []
-    for jobs in ("1", "2"):
+    for jobs in ("1", "2", "3"):
         code, out = run_cli(
-            capsys, "check", "--m-min", "5", "--m-max", "7",
-            "--samples", "200", "--seed", "9", "--jobs", jobs,
+            capsys, "check", "--m-min", "6", "--m-max", "9",
+            "--samples", "203", "--seed", "9", "--jobs", jobs,
         )
         assert code == 0
         doc = json.loads(out)
         del doc["wall_time"]
         del doc["jobs"]
         docs.append(doc)
-    assert docs[0] == docs[1]
+    assert docs[0] == docs[1] == docs[2]
+
+
+def test_grid_rows_identical_across_jobs():
+    records = charsum.sweep.sample_records(9, 6, 9, 203)
+    want = charsum.sweep.grid_rows(records, jobs=1)
+    assert want[1] == 0
+    for jobs in (2, 3):
+        assert charsum.sweep.grid_rows(records, jobs=jobs) == want
+
+
+_TEST_PID = os.getpid()
+_real_check_chunk = charsum.sweep._check_chunk
+
+
+def _fail_in_child(recs):
+    if os.getpid() != _TEST_PID:
+        raise AssertionError("planted failure in a sweep worker")
+    return _real_check_chunk(recs)
+
+
+def _exit_in_child(recs):
+    if os.getpid() != _TEST_PID:
+        os._exit(3)
+    return len(recs)
+
+
+def _fail_in_parent(recs):
+    if os.getpid() == _TEST_PID:
+        raise AssertionError("planted failure in the calling process")
+    time.sleep(60)
+    return len(recs)
+
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="the planted failures tell parent from child by the pid of a forked copy",
+)
+
+
+@fork_only
+@pytest.mark.parametrize("func, exc, match", [
+    (_fail_in_child, AssertionError, "planted failure in a sweep worker"),
+    (_exit_in_child, RuntimeError, r"sweep worker 1 \(pid \d+\) exited with code 3 "),
+    (_fail_in_parent, AssertionError, "planted failure in the calling process"),
+], ids=["child-raises", "child-exits", "parent-raises"])
+def test_pool_map_error_stops_every_child(func, exc, match):
+    records = charsum.sweep.sample_records(3, 6, 6, 64)
+    t0 = time.monotonic()
+    with pytest.raises(exc, match=match):
+        charsum.sweep._pool_map(func, records, 2)
+    # the sleeping child of parent-raises was terminated, not waited for
+    assert time.monotonic() - t0 < 30
+    assert multiprocessing.active_children() == []
+
+
+@fork_only
+def test_check_exits_5_on_worker_assertion(capsys, monkeypatch):
+    monkeypatch.setattr(charsum.sweep, "_check_chunk", _fail_in_child)
+    code = main(["check", "--m-min", "6", "--m-max", "6", "--samples", "100", "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.err == "internal error: AssertionError: planted failure in a sweep worker\n"
+    assert multiprocessing.active_children() == []
+
+
+def test_pool_map_starts_no_child_without_a_chunk(monkeypatch):
+    started = []
+
+    class InlineProcess:
+        """Runs the child's share in this process and records the start."""
+
+        def __init__(self, target, args, daemon):
+            self.target, self.args = target, args
+
+        def start(self):
+            started.append(len(self.args[1]))
+            self.target(*self.args)
+
+        def is_alive(self):
+            return False
+
+        def join(self):
+            pass
+
+    monkeypatch.setattr(multiprocessing, "Process", InlineProcess)
+    # 64 records at jobs = 100 make 64 one-record chunks: 63 children, one chunk each
+    assert charsum.sweep._pool_map(len, list(range(64)), 100) == [1] * 64
+    assert started == [1] * 63
 
 
 def test_check_flags_wrong_magnitude(capsys, monkeypatch):
