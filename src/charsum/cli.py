@@ -46,8 +46,8 @@ def _check_m(flag: str, m: int, cap: int) -> None:
         raise WidthCapError(f"modulus exponent {m} exceeds cap {cap}")
 
 
-def _instance(args) -> tuple[SumInstance, Character, Character]:
-    _check_m("--m", args.m, MAX_M)
+def _instance(args, cap: int = MAX_M) -> tuple[SumInstance, Character, Character]:
+    _check_m("--m", args.m, cap)
     mod = 1 << args.m
     inst = SumInstance(args.m, args.A % mod, args.B % mod, args.k)
     return inst, Character(args.m, args.s1, args.c1), Character(args.m, args.s2, args.c2)
@@ -101,7 +101,7 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .sweep import DEFAULT_KS, default_jobs, exhaustive_records, run_check, sample_records
+    from .sweep import default_jobs, exhaustive_records, run_check, sample_records
 
     if args.m_min > args.m_max:
         raise ValueError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
@@ -109,10 +109,8 @@ def cmd_check(args) -> int:
     _check_m("--m-max", args.m_max, MAX_ORACLE_M)
     jobs = args.jobs or default_jobs()
     if args.exhaustive:
-        ks = DEFAULT_KS if args.k_list is None else args.k_list
-        records = []
-        for m in range(args.m_min, args.m_max + 1):
-            records.extend(exhaustive_records(m, ks))
+        ks = args.k_list or ()
+        records = [r for m in range(args.m_min, args.m_max + 1) for r in exhaustive_records(m, ks)]
         seed = None
     else:
         seed = args.seed
@@ -127,7 +125,7 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    inst, chi1, chi2 = _instance(args)
+    inst, chi1, chi2 = _instance(args, MAX_ORACLE_M)
     # closed form: repeat until the clock resolves it, report the best lap
     reps = 0
     best = float("inf")
@@ -157,29 +155,13 @@ def cmd_bench(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    from .sweep import DEFAULT_KS, GRID_HEADER, default_jobs, grid_rows
+    from .sweep import GRID_HEADER, default_jobs, exhaustive_records, grid_rows
 
-    m = args.m
-    _check_m("--m", m, MAX_ORACLE_M)
-    mod = 1 << m
-    cmax = 1 << (m - 2)
-    a_list = args.A_list if args.A_list else tuple(range(mod))
-    b_list = args.B_list if args.B_list else tuple(range(1, mod, 2))
-    c1_list = args.c1_list if args.c1_list else tuple(range(1, cmax + 1))
-    c2_list = args.c2_list if args.c2_list else tuple(range(1, cmax + 1))
-    s1_list = args.s1_list if args.s1_list else (1, -1)
-    s2_list = args.s2_list if args.s2_list else (1, -1)
-    k_list = DEFAULT_KS if args.k_list is None else args.k_list
-    records = [
-        (m, a, b, k, c1, s1, c2, s2)
-        for c1 in c1_list
-        for s1 in s1_list
-        for c2 in c2_list
-        for s2 in s2_list
-        for a in a_list
-        for b in b_list
-        for k in k_list
-    ]
+    _check_m("--m", args.m, MAX_ORACLE_M)
+    records = exhaustive_records(
+        args.m, args.k_list or (), a_list=args.A_list, b_list=args.B_list,
+        c1_list=args.c1_list, s1_list=args.s1_list, c2_list=args.c2_list, s2_list=args.s2_list,
+    )
     rows, bad = grid_rows(records, jobs=args.jobs or default_jobs())
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

@@ -3,12 +3,16 @@
 The pipeline: normalize (parity vanishing, inverting the summation variable
 when B is even, imprimitivity rules, modulus reduction), derive the 2-adic
 shape n = v2(A), t = v2(k), classify the regime by m - n against t, then
-dispatch.  Every nonzero value is a power of sqrt(2) times one or two roots
-of unity, so results are carried as sparse exact term lists (ClosedForm.value()
-expands one to a dense ring element); the structured evaluation costs poly(m)
-arithmetic at every valuation: the Large regime solves its characteristic
-congruence for the smallest root directly, without enumerating the
-2^(n + 2t + min(1, t)) solutions.
+evaluate: the Large regime (m - n > 2t + 4) by its characteristic witness,
+every other regime, and the four-term sums left by characters mod 4, by the
+collapse onto x = +-1, where each surviving witness contributes
+2^(m-2) or 2^(m-1) times chi1(x) chi2(A x^k + B).  Every nonzero value is a
+power of sqrt(2) times one or two roots of unity, so results are carried as
+sparse exact term lists (ClosedForm.value() expands one to a dense ring
+element); the structured evaluation costs poly(m) arithmetic at every
+valuation: the Large regime solves its characteristic congruence for the
+smallest root directly, without enumerating the 2^(n + 2t + min(1, t))
+solutions.
 
 Witness data (x0, the parity of lambda, h) follows the sparse value around
 so verification runs can re-derive everything from the report alone.
@@ -39,10 +43,6 @@ CASE_ZERO_IMPRIMITIVE = "ZeroImprimitive"
 CASE_ZERO_CONDITION = "ZeroCondition"
 CASE_LARGE_EVEN = "LargeEven"
 CASE_LARGE_ODD = "LargeOdd"
-CASE_MIDRANGE = "MidRange"
-CASE_EDGE_T3 = "EdgeT3"
-CASE_EDGE_T2 = "EdgeT2"
-CASE_TINY = "Tiny"
 CASE_REDUCED = "Reduced"
 
 REGIME_TINY = "Tiny"
@@ -93,7 +93,7 @@ class DerivedParams:
 
 @dataclass(frozen=True, slots=True)
 class NormalizedProblem:
-    """Outcome of normalize(): a terminal zero, a tiny direct summation, or
+    """Outcome of normalize(): a terminal zero, a four-term sum, or
     a standard-form problem (A even, B odd, chi2 primitive) plus the power
     of two the modulus reduction multiplied every term class by."""
 
@@ -215,8 +215,8 @@ def normalize(inst: SumInstance, chi1: Character, chi2: Character) -> Normalized
     conj(chi1 * chi2^k).  A primitive chi1 against an imprimitive chi2
     forces the sum to vanish; two imprimitive characters push the whole
     problem down to their largest conductor, each reduced term class being
-    hit 2^(m - m') times.  Conductors below 3 leave a four-term sum that is
-    handled directly.
+    hit 2^(m - m') times.  Conductors below 3 leave a four-term sum, which
+    closed_form collapses onto x = +-1.
     """
     if chi1.m != inst.m or chi2.m != inst.m:
         raise ValueError("characters and instance must share the modulus")
@@ -396,100 +396,64 @@ def evaluate_large(
 def evaluate_small(
     inst: SumInstance, chi1: Character, chi2: Character, params: DerivedParams
 ) -> ClosedForm:
-    """t + 2 <= m - n <= 2t + 4: the sum collapses onto A + B and -A + B.
+    """m - n <= 2t + 4 (A = 0 included): the sum collapses onto x = +-1.
 
-    All branches inherit the global necessities: chi1(-1) = 1 when k is
-    even, and chi1's parameter carries the exact power 2^(n+t).  At the
-    m - n = t + 2 edge that means chi1 is the principal character (k even)
-    or the mod-4 sign character (k odd); at m - n = t + 3 it pins the
-    parameter to 2^(m-3); in between the characteristic values at +-1
-    decide, and never both.  params is derive(inst).
+    Each regime only decides which witnesses survive: x = +1 with weight
+    2^(m-1) when x = -1 repeats its term, otherwise x = +1, x = -1 or both,
+    each with weight 2^(m-2).  Below the edge (m - n < t + 2) A x^k + B is
+    constant on odd x and only the principal chi1 survives.  Elsewhere the
+    global necessities apply: chi1(-1) = 1 when k is even, and chi1's
+    parameter carries the exact power 2^(n+t).  At the m - n = t + 2 edge
+    that means chi1 is the principal character (k even) or the mod-4 sign
+    character (k odd); at m - n = t + 3 it pins the parameter to 2^(m-3);
+    in between the characteristic values at +-1 decide, and never both.
+    params is derive(inst).
     """
-    if params.regime not in (REGIME_EDGE_T2, REGIME_EDGE_T3, REGIME_MIDRANGE):
-        raise ValueError(f"not an edge/mid-regime instance: {params.regime}")
+    regime = params.regime
+    if regime == REGIME_LARGE:
+        raise ValueError(f"not a small-regime instance: {regime}")
     m = inst.m
     k_even = inst.k % 2 == 0
-    if k_even and chi1.s != 1:
+    plus = ((1, m - 1),)
+    both = ((1, m - 2), (-1, m - 2))
+    if regime == REGIME_TINY:
+        witnesses = plus if chi1 == principal(m) else ()
+    elif k_even and chi1.s != 1:
+        witnesses = ()
+    elif regime == REGIME_EDGE_T2:
+        witnesses = plus if chi1 == (principal(m) if k_even else sign_mod4(m)) else ()
+    elif regime == REGIME_EDGE_T3:
+        witnesses = () if chi1.c != 1 << (m - 3) else plus if k_even else both
+    else:  # MidRange: t + 3 < m - n <= 2t + 4
+        const, coef, cmod = _c_affine(inst, chi1.c, chi2.c, params.N, params.n, m - 2)
+        if k_even:
+            witnesses = plus if (const + coef) % cmod == 0 else ()
+        else:
+            witnesses = tuple((x, sh) for x, sh in both if (const + x * coef) % cmod == 0)
+            if len(witnesses) == 2:
+                raise AssertionError("characteristic values at +1 and -1 cannot both vanish here")
+    if not witnesses:
         return _closed(CASE_ZERO_CONDITION, m, None)
+    return _collapse(regime, inst, chi1, chi2, witnesses)
+
+
+def _collapse(
+    case: str,
+    inst: SumInstance,
+    chi1: Character,
+    chi2: Character,
+    witnesses: tuple[tuple[int, int], ...],
+    scale_log2: int = 0,
+) -> ClosedForm:
+    """Sum of 2^shift * chi1(x) * chi2(A x^k + B) over witnesses (x, shift), x = +-1."""
+    m = inst.m
     r = ring_exponent_for(m)
     mod = 1 << m
-    sum_ab = (inst.A + inst.B) % mod
     acc: dict[int, int] = {}
-
-    if params.regime == REGIME_EDGE_T2:
-        want = principal(m) if k_even else sign_mod4(m)
-        if chi1 != want:
-            return _closed(CASE_ZERO_CONDITION, m, None)
-        e, s = char_exp(chi2, sum_ab, r)
-        _fold(acc, r, e, s << (m - 1))
-        return _closed(CASE_EDGE_T2, m, acc)
-
-    if params.regime == REGIME_EDGE_T3:
-        if chi1.c != 1 << (m - 3):
-            return _closed(CASE_ZERO_CONDITION, m, None)
-        if k_even:
-            e, s = char_exp(chi2, sum_ab, r)
-            _fold(acc, r, e, s << (m - 1))
-        else:
-            e, s = char_exp(chi2, sum_ab, r)
-            _fold(acc, r, e, s << (m - 2))
-            e, s = char_exp(chi2, (inst.B - inst.A) % mod, r)
-            _fold(acc, r, e, chi1.s * s << (m - 2))
-        return _closed(CASE_EDGE_T3, m, acc)
-
-    # MidRange: t + 3 < m - n <= 2t + 4
-    width = m - 2
-    const, coef, cmod = _c_affine(inst, chi1.c, chi2.c, params.N, params.n, width)
-    at_plus = (const + coef * pow(1, inst.k, cmod)) % cmod == 0
-    if k_even:
-        if not at_plus:
-            return _closed(CASE_ZERO_CONDITION, m, None)
-        e, s = char_exp(chi2, sum_ab, r)
-        _fold(acc, r, e, s << (m - 1))
-        return _closed(CASE_MIDRANGE, m, acc)
-    at_minus = (const + coef * pow(cmod - 1, inst.k, cmod)) % cmod == 0
-    if at_plus and at_minus:
-        raise AssertionError("characteristic values at +1 and -1 cannot both vanish here")
-    if at_plus:
-        e, s = char_exp(chi2, sum_ab, r)
-        _fold(acc, r, e, s << (m - 2))
-        return _closed(CASE_MIDRANGE, m, acc)
-    if at_minus:
-        e, s = char_exp(chi2, (inst.B - inst.A) % mod, r)
-        _fold(acc, r, e, chi1.s * s << (m - 2))
-        return _closed(CASE_MIDRANGE, m, acc)
-    return _closed(CASE_ZERO_CONDITION, m, None)
-
-
-def evaluate_tiny(inst: SumInstance, chi1: Character, chi2: Character) -> ClosedForm:
-    """m - n < t + 2 (including A = 0): A x^k + B is constant on odd x."""
-    m = inst.m
-    if chi1 != principal(m):
-        return _closed(CASE_ZERO_CONDITION, m, None)
-    r = ring_exponent_for(m)
-    e, s = char_exp(chi2, (inst.A + inst.B) % (1 << m), r)
-    acc: dict[int, int] = {}
-    _fold(acc, r, e, s << (m - 1))
-    return _closed(CASE_TINY, m, acc)
-
-
-def _evaluate_direct4(inst: SumInstance, chi1: Character, chi2: Character) -> ClosedForm:
-    """Both characters factor through mod 4: sum the four residues directly."""
-    m = inst.m
-
-    def val(chi: Character, a: int) -> int:
-        if a % 2 == 0:
-            return 0
-        return chi.s if a & 3 == 3 else 1
-
-    total = 0
-    for x in (1, 3):
-        y = (inst.A * pow(x, inst.k, 4) + inst.B) % 4
-        total += val(chi1, x) * val(chi2, y)
-    acc: dict[int, int] = {}
-    if total:
-        _fold(acc, ring_exponent_for(m), 0, total << (m - 2))
-    return _closed(CASE_REDUCED, m, acc, scale_log2=m - 2)
+    for x, shift in witnesses:
+        e, s = char_exp(chi2, (inst.A * pow(x, inst.k, mod) + inst.B) % mod, r)
+        _fold(acc, r, e, (s if x == 1 else chi1.s * s) << shift)
+    return _closed(case, m, acc, scale_log2=scale_log2)
 
 
 def _rescale(inner: ClosedForm, outer_m: int, scale_log2: int) -> ClosedForm:
@@ -510,11 +474,11 @@ def closed_form(inst: SumInstance, chi1: Character, chi2: Character) -> ClosedFo
     if norm.kind == "zero":
         return _closed(norm.zero_case, inst.m, None)
     if norm.kind == "direct":
-        return _evaluate_direct4(norm.inst, norm.chi1, norm.chi2)
+        # both characters live mod 4: x = -1 repeats the x = +1 term or cancels it
+        both = ((1, norm.inst.m - 2), (-1, norm.inst.m - 2))
+        return _collapse(CASE_REDUCED, norm.inst, norm.chi1, norm.chi2, both, norm.scale_log2)
     params = derive(norm.inst)
-    if params.regime == REGIME_TINY:
-        cf = evaluate_tiny(norm.inst, norm.chi1, norm.chi2)
-    elif params.regime == REGIME_LARGE:
+    if params.regime == REGIME_LARGE:
         cf = evaluate_large(norm.inst, norm.chi1, norm.chi2, params)
     else:
         cf = evaluate_small(norm.inst, norm.chi1, norm.chi2, params)

@@ -203,18 +203,33 @@ def run_check(records: list[Record], jobs: int | None = None, seed: int | None =
 # ---------------------------------------------------------------------------
 # record generators
 
-def exhaustive_records(m: int, ks: tuple[int, ...] = DEFAULT_KS) -> list[Record]:
-    """Full grid at modulus 2^m: all characters both slots, all A, odd B."""
+def exhaustive_records(
+    m: int,
+    ks: tuple[int, ...] = (),
+    *,
+    a_list: tuple[int, ...] = (),
+    b_list: tuple[int, ...] = (),
+    c1_list: tuple[int, ...] = (),
+    s1_list: tuple[int, ...] = (),
+    c2_list: tuple[int, ...] = (),
+    s2_list: tuple[int, ...] = (),
+) -> list[Record]:
+    """Grid at modulus 2^m in the order c1, s1, c2, s2, A, B, k.
+
+    Each list narrows one coordinate; an empty one means its full range:
+    every character parameter, both signs, every A, every odd B, DEFAULT_KS.
+    """
     mod = 1 << m
-    cmax = 1 << (m - 2)
-    chars = [(c, s) for c in range(1, cmax + 1) for s in (1, -1)]
+    cs = tuple(range(1, (1 << (m - 2)) + 1))
     return [
         (m, a, b, k, c1, s1, c2, s2)
-        for (c1, s1) in chars
-        for (c2, s2) in chars
-        for a in range(mod)
-        for b in range(1, mod, 2)
-        for k in ks
+        for c1 in c1_list or cs
+        for s1 in s1_list or (1, -1)
+        for c2 in c2_list or cs
+        for s2 in s2_list or (1, -1)
+        for a in a_list or range(mod)
+        for b in b_list or range(1, mod, 2)
+        for k in ks or DEFAULT_KS
     ]
 
 
@@ -453,8 +468,9 @@ def grid_row(rec: Record) -> tuple[str, bool]:
     """The CSV row of one record, and whether closed form and oracle agree."""
     m, a, b, k, c1, s1, c2, s2 = rec
     inst = SumInstance(m, a, b, k)
-    cf = closed_form(inst, Character(m, s1, c1), Character(m, s2, c2))
-    want = brute_force(inst, Character(m, s1, c1), Character(m, s2, c2))
+    chi1, chi2 = Character(m, s1, c1), Character(m, s2, c2)
+    cf = closed_form(inst, chi1, chi2)
+    want = brute_force(inst, chi1, chi2)
     match = matches_dense(cf.ring_exponent, cf.terms, want)
     re, im = cf.approx()
     mag = "" if cf.magnitude_halves is None else str(cf.magnitude_halves)

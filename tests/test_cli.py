@@ -147,7 +147,7 @@ def test_check_refuses_empty_m_range(capsys):
 @pytest.mark.parametrize("argv, flag, value, cap", [
     (["eval", "--m", "-1"], "--m", -1, 30),
     (["eval", "--m", "2", "--method", "closed"], "--m", 2, 30),
-    (["bench", "--m", "-1"], "--m", -1, 30),
+    (["bench", "--m", "-1"], "--m", -1, 26),
     (["grid", "--m", "-1", "--out", os.devnull], "--m", -1, 26),
     (["check", "--exhaustive", "--m-min", "-1"], "--m-min", -1, 26),
     (["check", "--m-min", "2", "--m-max", "4", "--samples", "5"], "--m-min", 2, 26),
@@ -387,6 +387,18 @@ def test_check_exhaustive_tiny(capsys):
     # 4 characters each slot, 8 A, 4 odd B, 2 k
     assert doc["instances_checked"] == 16 * 8 * 4 * 2
     assert doc["mismatches"] == []
+
+
+def test_bench_refuses_m_above_oracle_cap_before_timing(capsys, monkeypatch):
+    def never(*args):
+        raise AssertionError("closed_form timed an instance the oracle refuses")
+
+    monkeypatch.setattr(charsum.cli, "closed_form", never)
+    code = main(["bench", "--m", "27"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: modulus exponent 27 exceeds cap 26\n"
 
 
 def test_bench_smoke(capsys):

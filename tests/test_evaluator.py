@@ -4,6 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import charsum.characters
+import charsum.evaluator
 from charsum.characters import (
     Character,
     char_conj,
@@ -15,17 +17,14 @@ from charsum.characters import (
 from charsum.cyclotomic import CycInt
 from charsum.errors import WidthCapError
 from charsum.evaluator import (
-    CASE_EDGE_T2,
-    CASE_EDGE_T3,
     CASE_LARGE_EVEN,
     CASE_LARGE_ODD,
-    CASE_MIDRANGE,
     CASE_REDUCED,
-    CASE_TINY,
     CASE_ZERO_CONDITION,
     CASE_ZERO_IMPRIMITIVE,
     CASE_ZERO_PARITY,
     REGIME_EDGE_T2,
+    REGIME_EDGE_T3,
     REGIME_LARGE,
     REGIME_MIDRANGE,
     REGIME_TINY,
@@ -35,7 +34,6 @@ from charsum.evaluator import (
     derive,
     evaluate_large,
     evaluate_small,
-    evaluate_tiny,
     normalize,
 )
 from charsum.oracle import brute_force
@@ -379,7 +377,7 @@ def test_edge_t2_rows():
     chi2 = Character(6, 1, 5)
     cf = closed_form(inst, principal(6), chi2)
     val = cf.value()
-    assert cf.case == CASE_EDGE_T2
+    assert cf.case == REGIME_EDGE_T2
     assert val == scalar_mul(1 << 5, eval_char(chi2, 11, val.r))
     assert val == brute_force(inst, principal(6), chi2)
     # any other chi1 dies
@@ -391,7 +389,7 @@ def test_edge_t2_rows():
     inst = SumInstance(5, 8, 3, 1)
     cf3 = closed_form(inst, sign_mod4(5), Character(5, 1, 3))
     val3 = cf3.value()
-    assert cf3.case == CASE_EDGE_T2
+    assert cf3.case == REGIME_EDGE_T2
     assert val3 == brute_force(inst, sign_mod4(5), Character(5, 1, 3))
     cf4 = closed_form(inst, principal(5), Character(5, 1, 3))
     val4 = cf4.value()
@@ -406,7 +404,7 @@ def test_edge_t3_two_term_row():
     chi2 = Character(m, 1, 5)
     cf = closed_form(inst, chi1, chi2)
     val = cf.value()
-    assert cf.case == CASE_EDGE_T3
+    assert cf.case == REGIME_EDGE_T3
     expect = scalar_mul(
         1 << (m - 2),
         add(
@@ -454,7 +452,7 @@ def test_midrange_rows_and_exclusivity():
         cf = closed_form(inst, chi1, chi2)
         val = cf.value()
         assert val == brute_force(inst, chi1, chi2)
-        if cf.case == CASE_MIDRANGE:
+        if cf.case == REGIME_MIDRANGE:
             seen_nonzero += 1
         elif cf.case == CASE_ZERO_CONDITION:
             seen_zero += 1
@@ -476,7 +474,7 @@ def test_tiny_rows():
     chi2 = Character(4, -1, 1)
     cf = closed_form(inst, principal(4), chi2)
     val = cf.value()
-    assert cf.case == CASE_TINY
+    assert cf.case == REGIME_TINY
     assert val == scalar_mul(8, eval_char(chi2, 9, val.r))
     assert val == brute_force(inst, principal(4), chi2)
     cf2 = closed_form(inst, Character(4, -1, 4), chi2)
@@ -489,9 +487,64 @@ def test_tiny_zero_coefficient():
     chi2 = Character(5, 1, 5)
     cf = closed_form(inst, principal(5), chi2)
     val = cf.value()
-    assert cf.case == CASE_TINY
+    assert cf.case == REGIME_TINY
     assert val == scalar_mul(16, eval_char(chi2, 7, val.r))
     assert val == brute_force(inst, principal(5), chi2)
+
+
+# ---------------------------------------------------------------------------
+# the collapse onto x = +-1
+
+# (m, A, B, k, chi1 and chi2 as (s, c), case, discrete logs per closed_form)
+COLLAPSE_DLOGS = [
+    (5, 8, 1, 2, (1, 8), (1, 1), REGIME_TINY, 1),
+    (6, 8, 3, 2, (1, 16), (1, 1), REGIME_EDGE_T2, 1),
+    (5, 8, 3, 1, (-1, 8), (1, 1), REGIME_EDGE_T2, 1),
+    (5, 2, 1, 2, (1, 4), (1, 1), REGIME_EDGE_T3, 1),
+    (5, 4, 1, 1, (1, 4), (1, 1), REGIME_EDGE_T3, 2),
+    (6, 2, 1, 2, (1, 4), (1, 1), REGIME_MIDRANGE, 1),
+    (5, 2, 1, 1, (1, 2), (1, 1), REGIME_MIDRANGE, 1),
+    (5, 8, 1, 2, (-1, 8), (1, 1), CASE_ZERO_CONDITION, 0),
+    (5, 2, 1, 1, (-1, 4), (1, 1), CASE_ZERO_CONDITION, 0),
+    (5, 2, 1, 1, (1, 8), (-1, 8), CASE_REDUCED, 0),
+]
+
+
+@pytest.mark.parametrize("m, A, B, k, chi1, chi2, case, dlogs", COLLAPSE_DLOGS, ids=[
+    "tiny", "edge-t2-even-k", "edge-t2-odd-k", "edge-t3-even-k", "edge-t3-odd-k",
+    "midrange-even-k", "midrange-odd-k", "zero-tiny", "zero-edge-t3", "direct-four-term",
+])
+def test_collapse_takes_one_discrete_log_per_surviving_witness(
+    monkeypatch, m, A, B, k, chi1, chi2, case, dlogs
+):
+    calls = []
+
+    def counted(x, w):
+        calls.append((x, w))
+        return dlog5(x, w)
+
+    monkeypatch.setattr(charsum.characters, "dlog5", counted)
+    monkeypatch.setattr(charsum.evaluator, "dlog5", counted)
+    inst, chi1, chi2 = SumInstance(m, A, B, k), Character(m, *chi1), Character(m, *chi2)
+    cf = closed_form(inst, chi1, chi2)
+    assert (cf.case, len(calls)) == (case, dlogs)
+    assert cf.is_zero() == (case == CASE_ZERO_CONDITION)
+    assert cf.value() == brute_force(inst, chi1, chi2)
+
+
+def test_regime_evaluators_refuse_each_others_instances():
+    chi2 = Character(5, 1, 5)
+    tiny = SumInstance(5, 0, 7, 3)
+    assert evaluate_small(tiny, principal(5), chi2, derive(tiny)) == closed_form(
+        tiny, principal(5), chi2
+    )
+    large = SumInstance(7, 2, 1, 1)
+    assert derive(large).regime == REGIME_LARGE
+    with pytest.raises(ValueError, match="Large"):
+        evaluate_small(large, Character(7, 1, 2), Character(7, 1, 1), derive(large))
+    for small in (tiny, SumInstance(5, 4, 1, 1), SumInstance(5, 2, 1, 1)):
+        with pytest.raises(ValueError, match="not a Large-regime instance"):
+            evaluate_large(small, principal(5), chi2, derive(small))
 
 
 # ---------------------------------------------------------------------------
