@@ -8,6 +8,11 @@ Usage: python scripts/oracle_digest.py [SRC_DIR] [COUNT]
   SRC_DIR  the `src` directory whose charsum package to load (default: this
            checkout's)
   COUNT    number of instances (default 7400)
+
+Prints the number of instances and the digest.  The current oracle prints
+    7400 bde5646a501beb1ccdeea779cfe07edce1ad08f1820cc62620bf2be10ef23e94
+and, with COUNT 2000 (pinned by tests/test_oracle.py through `digest`),
+    2000 e99e0fad28a3b6bd8e4933669c3bbd03cbf86cd5eaa70075f193dc980aeaa514
 """
 
 import hashlib
@@ -16,17 +21,15 @@ import random
 import sys
 
 
-def main() -> int:
-    default_src = pathlib.Path(__file__).resolve().parent.parent / "src"
-    src = sys.argv[1] if len(sys.argv) > 1 else str(default_src)
-    count = int(sys.argv[2]) if len(sys.argv) > 2 else 7400
-    sys.path.insert(0, src)
+def digest(count: int) -> str:
+    """Hex SHA-256 over the oracle's outputs on the first `count` instances,
+    from the charsum package already importable."""
     from charsum.characters import Character
     from charsum.evaluator import SumInstance
     from charsum.oracle import brute_force, half_sum
 
     rng = random.Random(20261018)
-    digest = hashlib.sha256()
+    sha = hashlib.sha256()
     for i in range(count):
         m = 3 + i % 15 if i % 4 else rng.randint(3, 9)
         mod = 1 << m
@@ -49,8 +52,16 @@ def main() -> int:
         if m <= 12:
             values += [half_sum(inst, chi1, chi2, 1), half_sum(inst, chi1, chi2, -1)]
         for v in values:
-            digest.update(repr((m, a, b, k, c1, s1, c2, s2, v.r, v.coeffs)).encode())
-    print(count, digest.hexdigest())
+            sha.update(repr((m, a, b, k, c1, s1, c2, s2, v.r, v.coeffs)).encode())
+    return sha.hexdigest()
+
+
+def main() -> int:
+    default_src = pathlib.Path(__file__).resolve().parent.parent / "src"
+    src = sys.argv[1] if len(sys.argv) > 1 else str(default_src)
+    count = int(sys.argv[2]) if len(sys.argv) > 2 else 7400
+    sys.path.insert(0, src)
+    print(count, digest(count))
     return 0
 
 

@@ -6,7 +6,7 @@ desk-scale memory and runtime.
 """
 
 MAX_M = 30          # closed-form evaluation refuses larger moduli
-MAX_ORACLE_M = 26   # time policy: 2^(m-1) terms, about half a minute at m = 26
+MAX_ORACLE_M = 26   # time policy: 2^(m-1) terms, about 9 s at m = 26 (2-vCPU VM)
 
 
 class WidthCapError(Exception):

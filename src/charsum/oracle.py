@@ -21,9 +21,13 @@ Row split: lo = y mod 2^h depends on gamma only through 5^(gamma k) mod 2^h,
 and 5^(2^(h-2)) = 1 (mod 2^h), so only through gamma mod 2^(h-2).  Writing
 gamma = g + 2^(h-2)*j, each call builds per half one row per g, 2^(h-2) rows
 holding everything about the term that depends on g and lo alone: a
-multiplier pm and an offset q.  The outer loop over j carries
-a = a_res * 5^(k 2^(h-2) j) and chi1's step e, so a term costs one
-multiply-add, a mask, a shift and one count, with no table lookup.
+multiplier pm and an offset q.  Along a row, 5^(gamma k) carries the factor
+v^j with v = 5^(k 2^(h-2)) = 1 (mod 2^h).  Since 2h >= m, (v - 1)^2 = 0
+(mod 2^m), so v^j = 1 + j*(v - 1) (mod 2^m) exactly: the same fact as the
+split log's, that 1 + 2^h*Z/2^m is cyclic with a linear log.  chi1's
+exponent also grows by a fixed step per j, so a row's 2^(m-h) term
+exponents form one arithmetic progression, and the row is one `range` with
+one count per term.  Each term is still counted on its own.
 """
 
 from __future__ import annotations
@@ -82,12 +86,18 @@ def _sum(
     term's exponent in Z/2^r exactly, whatever multiple of 2^m it carried.
 
     Row split: y mod 2^h depends on gamma only through gamma mod 2^(h-2).
-    For gamma = g + 2^(h-2)*j and a = a_res * 5^(k 2^(h-2) j), each half
-    builds one row per g, with mcu = M*cu for the row's low residue:
+    For gamma = g + 2^(h-2)*j, each half builds one row per g, with
+    mcu = M*cu for the row's low residue:
         pm = 5^(kg) * mcu,  q = B*mcu - cu + (base << drop)
                                 + ((c1*g + c2*l) << 2) + 2^(m-1)*negative,
-    and the outer loop over j carries a and e = j * (c1 << h).  Each term is
-    one count at ((a*pm + q + e) mod 2^m) >> drop.
+    and the term at j is one count at ((a_j*pm + q + j*(c1 << h)) mod 2^m)
+    >> drop, where a_j = a * v^j and v = 5^(k 2^(h-2)).  Since v = 1 (mod 2^h)
+    and 2h >= m, (v - 1)^2 = 0 (mod 2^m), so v^j = 1 + j*(v - 1) (mod 2^m)
+    exactly, and the exponents run start + j*step with
+        start = (a*pm + q) mod 2^m,  step = (a*(v - 1)*pm + (c1 << h)) mod 2^m,
+    both multiples of 2^drop.  So each row is one `range` of n = 2^(m-h)
+    values (n counts on one slot if step = 0), each term still counted once
+    on its own exponent mod 2^r: no row is summed in closed form.
     """
     m = inst.m
     r = ring_exponent_for(m)
@@ -103,22 +113,28 @@ def _sum(
     cu = c2 * uinv % (1 << (m - h))
     turn2 = mod >> 1 if chi2.s == -1 else 0
     fk = pow(5, inst.k, mod)
+    v = pow(fk, 1 << (h - 2), mod)  # 5^(k 2^(h-2)) = 1 (mod 2^h)
+    n = 1 << (m - h)  # terms per row
+    e1 = c1 << h  # chi1's exponent step from one j to the next
+    rmask = (1 << r) - 1
     cnt = [0] * (1 << r)
     for a, base in halves:
-        rows = []
         off = (base << drop) - cu
+        da = a * (v - 1)
         z = 1  # 5^(kg) mod 2^m
         for g in range(1 << (h - 2)):
             negative, l, mlo = low[(a * z + b) & hmask]
             mcu = mlo * cu
+            pm = z * mcu & mmask
             q = b * mcu + off + ((c1 * g + c2 * l) << 2) + (turn2 if negative else 0)
-            rows.append((z * mcu & mmask, q & mmask))
+            start = ((a * pm + q) & mmask) >> drop
+            step = ((da * pm + e1) & mmask) >> drop
+            if step:
+                for x in range(start, start + n * step, step):
+                    cnt[x & rmask] += 1
+            else:
+                cnt[start] += n
             z = z * fk & mmask
-        # z is now 5^(k 2^(h-2)), the step of a from one j to the next
-        for e in range(0, c1 << m, c1 << h):
-            for pm, q in rows:
-                cnt[((a * pm + q + e) & mmask) >> drop] += 1
-            a = a * z & mmask
     half = 1 << (r - 1)
     return CycInt(r, tuple(weight * (cnt[e] - cnt[e + half]) for e in range(half)))
 

@@ -1,5 +1,7 @@
 import functools
+import importlib.util
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
@@ -94,6 +96,28 @@ def test_ring_matches_small_moduli():
     assert got == from_int(-4, 3)
 
 
+def test_row_step_power_is_linear_in_j():
+    # v = 5^(k 2^(h-2)) is 1 mod 2^h and v^j = 1 + j*(v - 1) mod 2^m: the
+    # identity that makes each oracle row one arithmetic progression
+    rng = random.Random(10)
+    for m in range(3, 27):
+        h = _low_logs(m)[0]
+        mod, n = 1 << m, 1 << (m - h)  # n terms per row
+        if m <= 16:
+            js = range(n)
+        else:
+            js = [0, 1, 2, n - 1, *(rng.randrange(n) for _ in range(200))]
+        ks = [rng.randrange(1, 1 << 20, 2) for _ in range(3)]  # odd
+        ks += [rng.randrange(1, 1 << 12, 2) << t for t in (1, 2, 3)]
+        ks += [rng.randint(1, 9) << (m - 2)]  # x^k = 1 for every odd x
+        assert 2 * h >= m
+        for k in ks:
+            v = pow(5, k << (h - 2), mod)
+            assert v % (1 << h) == 1
+            for j in js:
+                assert pow(v, j, mod) == (1 + j * (v - 1)) % mod, (m, k, j)
+
+
 def _split_log(y, m):
     """(negative, L) with y = (-1)^negative * 5^L mod 2^m, read from the split table."""
     h, uinv, low = _low_logs(m)
@@ -159,6 +183,18 @@ def _reference_sum(inst, chi1, chi2, xs):
 @example((SumInstance(3, 2, 1, 2), principal(3), Character(3, 1, 1)))  # smallest ring
 @example((SumInstance(4, 1, 0, 1), Character(4, -1, 1), Character(4, -1, 3)))  # one row, drop 1
 @example((SumInstance(5, 1, 0, 1), Character(5, -1, 1), Character(5, -1, 7)))  # two rows, drop 2
+# zero-step rows, non-principal chi1: c1 << h = 0 (mod 2^m), and A = 0 or
+# v2(A) = h, so A*(v - 1) = 0 (mod 2^m); c1 = 2^(m-h) = 16 is the least such c1
+@example((SumInstance(8, 0, 3, 5), Character(8, -1, 64), Character(8, 1, 5)))
+@example((SumInstance(8, 16, 1, 1), Character(8, 1, 16), Character(8, 1, 1)))
+# k a multiple of 2^(m-2) with odd A: x^k = 1, so a row steps by c1 << h alone
+@example((SumInstance(8, 3, 2, 64), principal(8), Character(8, 1, 5)))
+@example((SumInstance(7, 5, 0, 96), Character(7, -1, 32), Character(7, -1, 3)))
+# one row per half: m = 3 (2 terms a row) and m = 4 (4 terms a row), odd k;
+# a nonzero step, then a zero step with a nonzero sum
+@example((SumInstance(3, 1, 0, 3), Character(3, -1, 1), Character(3, -1, 2)))
+@example((SumInstance(3, 1, 0, 3), Character(3, -1, 1), Character(3, -1, 1)))
+@example((SumInstance(4, 1, 0, 3), Character(4, -1, 1), Character(4, -1, 3)))
 def test_oracle_matches_independent_reference(case):
     inst, chi1, chi2 = case
     mod = 1 << inst.m
@@ -223,3 +259,13 @@ def test_oracle_matches_per_x_count_at_row_boundaries(index):
     assert brute_force(inst, chi1, chi2) == _counted_sum(inst, chi1, chi2, odd, inst.A)
     assert half_sum(inst, chi1, chi2, 1) == _counted_sum(inst, chi1, chi2, plus, inst.A)
     assert half_sum(inst, chi1, chi2, -1) == _counted_sum(inst, chi1, chi2, plus, mod - inst.A)
+
+
+def test_oracle_digest_is_pinned():
+    # any oracle change that alters one output on 2000 seeded instances
+    # (m = 3..17, brute_force and both half_sum signs) changes this digest
+    path = Path(__file__).resolve().parent.parent / "scripts" / "oracle_digest.py"
+    spec = importlib.util.spec_from_file_location("oracle_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.digest(2000) == "e99e0fad28a3b6bd8e4933669c3bbd03cbf86cd5eaa70075f193dc980aeaa514"
