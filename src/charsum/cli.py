@@ -1,7 +1,7 @@
 """Command-line surface: evaluate one sum, sweep-verify, benchmark, or dump grids.
 
 Exit codes are a stable contract: 0 success/match, 1 mismatch, 2 usage,
-3 width cap, 4 I/O failure, 5 internal error (a broken solver or
+3 width or size cap, 4 I/O failure, 5 internal error (a broken solver or
 self-check invariant).
 """
 
@@ -14,7 +14,7 @@ import time
 
 from .characters import Character
 from .cyclotomic import approx_terms, matches_dense
-from .errors import MAX_M, MAX_ORACLE_M, WidthCapError
+from .errors import MAX_M, MAX_ORACLE_M, MAX_SWEEP_TERMS, WidthCapError
 from .evaluator import SumInstance, closed_form
 from .oracle import brute_force
 
@@ -44,6 +44,15 @@ def _check_m(flag: str, m: int, cap: int) -> None:
         raise ValueError(f"{flag} {m} is outside [3, {cap}]")
     if m > cap:
         raise WidthCapError(f"modulus exponent {m} exceeds cap {cap}")
+
+
+def _check_terms(terms: float) -> None:
+    """Refuse a sweep whose estimated oracle terms exceed MAX_SWEEP_TERMS
+    (exit 3), before its first record is compared."""
+    if terms > MAX_SWEEP_TERMS:
+        raise WidthCapError(
+            f"sweep of about {terms:.3g} oracle terms exceeds cap {MAX_SWEEP_TERMS:.3g}"
+        )
 
 
 def _instance(args, cap: int = MAX_M) -> tuple[SumInstance, Character, Character]:
@@ -85,13 +94,15 @@ def cmd_eval(args) -> int:
     }
     code = EXIT_OK
     if args.method in ("closed", "both"):
-        doc["closed_form"] = closed_form(inst, chi1, chi2).to_json_dict()
+        cf = closed_form(inst, chi1, chi2)
+        doc["closed_form"] = cf.to_json_dict()
     if args.method in ("brute", "both"):
-        value = brute_force(inst, chi1, chi2).to_json_dict()
-        re, im = approx_terms(value["ring_exponent"], value["terms"])
-        doc["oracle"] = {"value": value, "approx": {"re": re, "im": im}}
+        value = brute_force(inst, chi1, chi2)
+        value_doc = value.to_json_dict()
+        re, im = approx_terms(value.r, value_doc["terms"])
+        doc["oracle"] = {"value": value_doc, "approx": {"re": re, "im": im}}
     if args.method == "both":
-        match = doc["closed_form"]["value"] == doc["oracle"]["value"]
+        match = matches_dense(cf.ring_exponent, cf.terms, value)
         doc["match"] = match
         if not match:
             code = EXIT_MISMATCH
@@ -101,21 +112,24 @@ def cmd_eval(args) -> int:
 
 
 def cmd_check(args) -> int:
-    from .sweep import default_jobs, exhaustive_records, run_check, sample_records
+    from .sweep import exhaustive_count, exhaustive_records, run_check, sample_records
 
     if args.m_min > args.m_max:
         raise ValueError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
     _check_m("--m-min", args.m_min, MAX_ORACLE_M)
     _check_m("--m-max", args.m_max, MAX_ORACLE_M)
-    jobs = args.jobs or default_jobs()
+    ms = range(args.m_min, args.m_max + 1)
     if args.exhaustive:
         ks = args.k_list or ()
-        records = [r for m in range(args.m_min, args.m_max + 1) for r in exhaustive_records(m, ks)]
+        _check_terms(sum(exhaustive_count(m, ks) << (m - 1) for m in ms))
+        records = (r for m in ms for r in exhaustive_records(m, ks))
         seed = None
     else:
+        # sample_records draws m uniformly from ms
+        _check_terms(args.samples * sum(1 << (m - 1) for m in ms) / len(ms))
         seed = args.seed
         records = sample_records(seed, args.m_min, args.m_max, args.samples)
-    report = run_check(records, jobs=jobs, seed=seed)
+    report = run_check(records, jobs=args.jobs, seed=seed)
     doc = report.to_json_dict()
     doc["m_min"], doc["m_max"] = args.m_min, args.m_max
     doc["exhaustive"] = bool(args.exhaustive)
@@ -155,23 +169,22 @@ def cmd_bench(args) -> int:
 
 
 def cmd_grid(args) -> int:
-    from .sweep import GRID_HEADER, default_jobs, exhaustive_records, grid_rows
+    from .sweep import exhaustive_count, exhaustive_records, write_grid
 
     _check_m("--m", args.m, MAX_ORACLE_M)
-    records = exhaustive_records(
-        args.m, args.k_list or (), a_list=args.A_list, b_list=args.B_list,
-        c1_list=args.c1_list, s1_list=args.s1_list, c2_list=args.c2_list, s2_list=args.s2_list,
+    lists = dict(
+        a_list=args.A_list, b_list=args.B_list, c1_list=args.c1_list,
+        s1_list=args.s1_list, c2_list=args.c2_list, s2_list=args.s2_list,
     )
-    rows, bad = grid_rows(records, jobs=args.jobs or default_jobs())
+    ks = args.k_list or ()
+    _check_terms(exhaustive_count(args.m, ks, **lists) << (args.m - 1))
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(GRID_HEADER + "\n")
-            for row in rows:
-                fh.write(row + "\n")
+            rows, bad = write_grid(fh, exhaustive_records(args.m, ks, **lists), args.jobs)
     except OSError as ex:
         print(f"error: cannot write {args.out}: {ex}", file=sys.stderr)
         return EXIT_IO
-    print(json.dumps({"rows": len(rows), "mismatches": bad, "out": args.out}))
+    print(json.dumps({"rows": rows, "mismatches": bad, "out": args.out}))
     return EXIT_OK if bad == 0 else EXIT_MISMATCH
 
 
@@ -198,7 +211,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", dest="k_list", type=_parse_int_list, default=None,
                    help="comma-separated k values (exhaustive mode)")
     p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="processes, this one included (default: CHARSUM_JOBS or CPU count)")
+                   help="processes, this one included (default: CPU count)")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bench", help="time closed form vs oracle on one instance")
@@ -216,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s1-list", dest="s1_list", type=_parse_int_list, default=())
     p.add_argument("--s2-list", dest="s2_list", type=_parse_int_list, default=())
     p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="processes, this one included (default: CHARSUM_JOBS or CPU count)")
+                   help="processes, this one included (default: CPU count)")
     p.set_defaults(func=cmd_grid)
     return ap
 

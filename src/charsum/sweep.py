@@ -1,14 +1,16 @@
 """Verification sweeps: instance sampling, the exact compare loop, parallel runs.
 
-A record is the flat tuple (m, A, B, k, c1, s1, c2, s2).  Checking a record
-means evaluating the closed form, summing the oracle, and comparing the
-closed form's sparse terms against the oracle's dense coefficients (no second
-dense vector is built); Large-regime results additionally get their squared
-magnitude, a sparse product of the matched terms, checked against the regime
-formula.  Sampling is seeded and single-streamed, so reports are reproducible
-and independent of the worker count.
+A record is the flat tuple (m, A, B, k, c1, s1, c2, s2).  Comparing a record
+(`_compare`) means evaluating the closed form, summing the oracle, and
+comparing the closed form's sparse terms against the oracle's dense
+coefficients (no second dense vector is built).  Its two sinks take records
+lazily, one block of _BLOCK at a time: `run_check` adds up a report (and
+checks Large-regime results' squared magnitude, a sparse product of the
+matched terms, against the regime formula), `write_grid` writes CSV rows.
+Sampling is seeded and single-streamed, so reports are reproducible and
+independent of the worker count.
 
-Parallel runs go through `_pool_map`: with `jobs` processes, the calling
+Each block goes through `_pool_map`: with `jobs` processes, the calling
 process computes every jobs-th chunk itself and jobs - 1 child processes
 compute the rest.  Each child sends back its results or its exception over a
 pipe; the exception is re-raised in the caller with its type unchanged (so an
@@ -18,11 +20,14 @@ answering raises RuntimeError.  No child outlives the call.
 
 from __future__ import annotations
 
+import math
 import os
 import random
 import time
 from collections import Counter
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
+from itertools import islice
 
 from .characters import Character
 from .cyclotomic import abs2_terms, matches_dense
@@ -40,18 +45,7 @@ Record = tuple[int, int, int, int, int, int, int, int]
 
 DEFAULT_KS = (1, 2, 3, 4, 6, 8, 12)
 
-
-def default_jobs() -> int:
-    env = os.environ.get("CHARSUM_JOBS")
-    if env:
-        try:
-            jobs = int(env)
-        except ValueError:
-            jobs = 0
-        if jobs < 1:
-            raise ValueError(f"CHARSUM_JOBS must be a positive integer, got {env!r}")
-        return jobs
-    return os.cpu_count() or 1
+_BLOCK = 1 << 16  # records per block: a sweep holds one block and its results
 
 
 @dataclass
@@ -80,33 +74,40 @@ class CheckReport:
         }
 
 
+def _compare(rec: Record) -> tuple:
+    """Closed form and oracle on one record: (cf, match, closed_s, oracle_s)."""
+    m, a, b, k, c1, s1, c2, s2 = rec
+    inst = SumInstance(m, a, b, k)
+    chi1 = Character(m, s1, c1)
+    chi2 = Character(m, s2, c2)
+    t0 = time.perf_counter()
+    cf = closed_form(inst, chi1, chi2)
+    t1 = time.perf_counter()
+    want = brute_force(inst, chi1, chi2)
+    t2 = time.perf_counter()
+    return cf, matches_dense(cf.ring_exponent, cf.terms, want), t1 - t0, t2 - t1
+
+
 def _check_chunk(recs: list[Record]) -> tuple:
     tags: Counter = Counter()
     mismatches: list[Record] = []
     mag_bad: list[Record] = []
     t_closed = t_brute = 0.0
     for rec in recs:
-        m, a, b, k, c1, s1, c2, s2 = rec
-        inst = SumInstance(m, a, b, k)
-        chi1 = Character(m, s1, c1)
-        chi2 = Character(m, s2, c2)
-        t0 = time.perf_counter()
-        cf = closed_form(inst, chi1, chi2)
-        t1 = time.perf_counter()
-        want = brute_force(inst, chi1, chi2)
-        t2 = time.perf_counter()
-        t_closed += t1 - t0
-        t_brute += t2 - t1
+        cf, match, tc, tb = _compare(rec)
+        t_closed += tc
+        t_brute += tb
         tags[cf.case] += 1
-        if not matches_dense(cf.ring_exponent, cf.terms, want):
+        if not match:
             mismatches.append(rec)
             continue
         if cf.case in (CASE_LARGE_EVEN, CASE_LARGE_ODD):
+            m, a, b, k = rec[:4]
             swapped = (a & 1) and not (b & 1)
             n = v2(b if swapped else a)
             t = v2(k)
             expected = m + n + 2 * t + 2 * min(1, t)
-            # cf.terms equals want here, so its sparse |S|^2 is the oracle's
+            # cf.terms equals the oracle's value here, so its sparse |S|^2 is the oracle's
             if abs2_terms(cf.ring_exponent, cf.terms) != {0: 1 << expected}:
                 mag_bad.append(rec)
     return len(recs), mismatches, tags, mag_bad, t_closed, t_brute
@@ -178,17 +179,24 @@ def _pool_map(func, records: list[Record], jobs: int) -> list:
             recv.close()
 
 
-def run_check(records: list[Record], jobs: int | None = None, seed: int | None = None) -> CheckReport:
+def _blocks(func, records: Iterable[Record], jobs: int) -> Iterator:
+    """func's chunk results over records in record order, holding one block at a time."""
+    it = iter(records)
+    while block := list(islice(it, _BLOCK)):
+        yield from _pool_map(func, block, jobs)
+
+
+def run_check(
+    records: Iterable[Record], jobs: int | None = None, seed: int | None = None
+) -> CheckReport:
     """Compare closed form and oracle over the records, optionally in parallel.
 
-    Results are merged order-insensitively, so the report does not depend on
-    the worker count.
+    jobs defaults to the CPU count.  Results are merged order-insensitively,
+    so the report does not depend on the worker count.
     """
-    jobs = jobs or default_jobs()
+    jobs = jobs or os.cpu_count() or 1
     report = CheckReport(0, [], seed=seed, jobs=jobs)
-    if not records:
-        return report
-    for n, mis, tags, mag, tc, tb in _pool_map(_check_chunk, records, jobs):
+    for n, mis, tags, mag, tc, tb in _blocks(_check_chunk, records, jobs):
         report.instances_checked += n
         report.mismatches.extend(mis)
         report.tag_counts.update(tags)
@@ -203,7 +211,7 @@ def run_check(records: list[Record], jobs: int | None = None, seed: int | None =
 # ---------------------------------------------------------------------------
 # record generators
 
-def exhaustive_records(
+def _grid_axes(
     m: int,
     ks: tuple[int, ...] = (),
     *,
@@ -213,24 +221,35 @@ def exhaustive_records(
     s1_list: tuple[int, ...] = (),
     c2_list: tuple[int, ...] = (),
     s2_list: tuple[int, ...] = (),
-) -> list[Record]:
-    """Grid at modulus 2^m in the order c1, s1, c2, s2, A, B, k.
+) -> tuple:
+    """The grid's axes at modulus 2^m in the order c1, s1, c2, s2, A, B, k.
 
     Each list narrows one coordinate; an empty one means its full range:
     every character parameter, both signs, every A, every odd B, DEFAULT_KS.
     """
     mod = 1 << m
-    cs = tuple(range(1, (1 << (m - 2)) + 1))
-    return [
+    cs = range(1, (1 << (m - 2)) + 1)
+    return (
+        c1_list or cs, s1_list or (1, -1), c2_list or cs, s2_list or (1, -1),
+        a_list or range(mod), b_list or range(1, mod, 2), ks or DEFAULT_KS,
+    )
+
+
+def exhaustive_records(
+    m: int, ks: tuple[int, ...] = (), **lists: tuple[int, ...]
+) -> Iterator[Record]:
+    """Grid at modulus 2^m, generated lazily along `_grid_axes`, the last axis fastest."""
+    c1s, s1s, c2s, s2s, as_, bs, ks = _grid_axes(m, ks, **lists)
+    return (
         (m, a, b, k, c1, s1, c2, s2)
-        for c1 in c1_list or cs
-        for s1 in s1_list or (1, -1)
-        for c2 in c2_list or cs
-        for s2 in s2_list or (1, -1)
-        for a in a_list or range(mod)
-        for b in b_list or range(1, mod, 2)
-        for k in ks or DEFAULT_KS
-    ]
+        for c1 in c1s for s1 in s1s for c2 in c2s for s2 in s2s
+        for a in as_ for b in bs for k in ks
+    )
+
+
+def exhaustive_count(m: int, ks: tuple[int, ...] = (), **lists: tuple[int, ...]) -> int:
+    """Number of records exhaustive_records(m, ks, **lists) yields."""
+    return math.prod(map(len, _grid_axes(m, ks, **lists)))
 
 
 def _rand_k(rng: random.Random, t: int) -> int:
@@ -459,43 +478,35 @@ def sample_records(seed: int, m_min: int, m_max: int, count: int) -> list[Record
 
 
 # ---------------------------------------------------------------------------
-# CSV grid rows
+# CSV grid
 
 GRID_HEADER = "m,A,B,k,c1,s1,c2,s2,case,magnitude_halves,match,re,im"
 
 
-def grid_row(rec: Record) -> tuple[str, bool]:
-    """The CSV row of one record, and whether closed form and oracle agree."""
-    m, a, b, k, c1, s1, c2, s2 = rec
-    inst = SumInstance(m, a, b, k)
-    chi1, chi2 = Character(m, s1, c1), Character(m, s2, c2)
-    cf = closed_form(inst, chi1, chi2)
-    want = brute_force(inst, chi1, chi2)
-    match = matches_dense(cf.ring_exponent, cf.terms, want)
-    re, im = cf.approx()
-    mag = "" if cf.magnitude_halves is None else str(cf.magnitude_halves)
-    row = (
-        f"{m},{a},{b},{k},{c1},{s1},{c2},{s2},{cf.case},{mag},"
-        f"{'true' if match else 'false'},{re:.12g},{im:.12g}"
-    )
-    return row, match
-
-
-def _grid_chunk(recs: list[Record]) -> tuple[list[str], int]:
+def _grid_chunk(recs: list[Record]) -> tuple[str, int, int]:
+    """The CSV lines of the records, their count, and how many mismatch."""
     rows = []
     bad = 0
     for rec in recs:
-        row, match = grid_row(rec)
-        rows.append(row)
+        cf, match, _, _ = _compare(rec)
+        m, a, b, k, c1, s1, c2, s2 = rec
+        re, im = cf.approx()
+        mag = "" if cf.magnitude_halves is None else str(cf.magnitude_halves)
+        rows.append(
+            f"{m},{a},{b},{k},{c1},{s1},{c2},{s2},{cf.case},{mag},"
+            f"{'true' if match else 'false'},{re:.12g},{im:.12g}\n"
+        )
         bad += not match
-    return rows, bad
+    return "".join(rows), len(recs), bad
 
 
-def grid_rows(records: list[Record], jobs: int | None = None) -> tuple[list[str], int]:
-    """All CSV rows (in record order) and the number of mismatching rows."""
-    rows: list[str] = []
-    bad = 0
-    for part_rows, part_bad in _pool_map(_grid_chunk, records, jobs or default_jobs()):
-        rows.extend(part_rows)
+def write_grid(fh, records: Iterable[Record], jobs: int | None = None) -> tuple[int, int]:
+    """Write the CSV header and the records' rows to fh, a block at a time, in
+    record order; jobs defaults to the CPU count.  Returns (rows, mismatches)."""
+    fh.write(GRID_HEADER + "\n")
+    rows = bad = 0
+    for text, n, part_bad in _blocks(_grid_chunk, records, jobs or os.cpu_count() or 1):
+        fh.write(text)
+        rows += n
         bad += part_bad
     return rows, bad

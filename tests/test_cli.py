@@ -1,4 +1,5 @@
 import dataclasses
+import io
 import json
 import multiprocessing
 import os
@@ -90,15 +91,6 @@ def test_nonpositive_jobs_exit_2(capsys, argv):
         main(argv)
     assert exc.value.code == 2
     assert "--jobs: expected a positive integer" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("env", ["abc", "0", "-3"])
-def test_bad_charsum_jobs_exit_2(capsys, monkeypatch, env):
-    monkeypatch.setenv("CHARSUM_JOBS", env)
-    code = main(["check", "--m-min", "3", "--m-max", "3", "--samples", "5"])
-    err = capsys.readouterr().err
-    assert code == 2
-    assert err == f"error: CHARSUM_JOBS must be a positive integer, got {env!r}\n"
 
 
 def test_mismatch_exit_1(capsys, monkeypatch):
@@ -267,12 +259,80 @@ def test_check_deterministic_across_jobs(capsys):
     assert docs[0] == docs[1] == docs[2]
 
 
-def test_grid_rows_identical_across_jobs():
+def _check_doc(records, jobs):
+    doc = charsum.sweep.run_check(records, jobs=jobs).to_json_dict()
+    del doc["wall_time"], doc["jobs"]
+    return doc
+
+
+def _grid_text(records, jobs):
+    fh = io.StringIO()
+    counts = charsum.sweep.write_grid(fh, records, jobs)
+    return fh.getvalue(), counts
+
+
+def test_grid_rows_identical_across_jobs(monkeypatch):
+    # 203 records: not a multiple of the chunk count at 2 or 3 jobs
     records = charsum.sweep.sample_records(9, 6, 9, 203)
-    want = charsum.sweep.grid_rows(records, jobs=1)
-    assert want[1] == 0
+    want = _grid_text(records, 1)
+    assert want[1] == (203, 0)
+    assert want[0].count("\n") == 204 and want[0].startswith(GRID_HEADER + "\n")
     for jobs in (2, 3):
-        assert charsum.sweep.grid_rows(records, jobs=jobs) == want
+        assert _grid_text(iter(records), jobs) == want
+    # blocks of 61 records split the chunks and leave a last block of 20
+    monkeypatch.setattr(charsum.sweep, "_BLOCK", 61)
+    for jobs in (1, 2, 3):
+        assert _grid_text(iter(records), jobs) == want
+
+
+def test_check_report_identical_across_blocks(monkeypatch):
+    records = charsum.sweep.sample_records(9, 6, 9, 203)
+    want = _check_doc(records, 1)
+    assert want["instances_checked"] == 203
+    monkeypatch.setattr(charsum.sweep, "_BLOCK", 61)
+    for jobs in (1, 2, 3):
+        assert _check_doc(iter(records), jobs) == want
+
+
+def test_exhaustive_records_are_lazy():
+    # the default m = 12 grid has about 2.5 * 10^14 records
+    t0 = time.monotonic()
+    assert next(charsum.sweep.exhaustive_records(12)) == (12, 0, 1, 1, 1, 1, 1, 1)
+    assert time.monotonic() - t0 < 1
+
+
+@pytest.mark.parametrize("m, ks, lists", [
+    (3, (), {}),
+    (4, (1, 2), {}),
+    (5, (3,), {"a_list": (0, 2, 7), "c1_list": (1, 8), "s2_list": (-1,)}),
+])
+def test_exhaustive_count_matches_records(m, ks, lists):
+    records = list(charsum.sweep.exhaustive_records(m, ks, **lists))
+    assert charsum.sweep.exhaustive_count(m, ks, **lists) == len(records) == len(set(records))
+
+
+def _never_compare(rec):
+    raise AssertionError("a record was compared")
+
+
+@pytest.mark.parametrize("argv, terms", [
+    (["check", "--exhaustive", "--m-min", "7", "--m-max", "7"], "1.5e+10"),
+    (["check", "--m-min", "26", "--m-max", "26", "--samples", "1000"], "3.36e+10"),
+    (["grid", "--m", "12"], "5.04e+17"),
+], ids=["check-exhaustive", "check-sampled", "grid"])
+def test_oversized_sweep_exits_3_before_comparing(capsys, monkeypatch, tmp_path, argv, terms):
+    monkeypatch.setattr(charsum.sweep, "_compare", _never_compare)
+    out_path = tmp_path / "grid.csv"
+    if argv[0] == "grid":
+        argv = [*argv, "--out", str(out_path)]
+    t0 = time.monotonic()
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert time.monotonic() - t0 < 1
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == f"error: sweep of about {terms} oracle terms exceeds cap 4.29e+09\n"
+    assert not out_path.exists()
 
 
 _TEST_PID = os.getpid()
@@ -324,6 +384,28 @@ def test_pool_map_error_stops_every_child(func, exc, match):
 def test_check_exits_5_on_worker_assertion(capsys, monkeypatch):
     monkeypatch.setattr(charsum.sweep, "_check_chunk", _fail_in_child)
     code = main(["check", "--m-min", "6", "--m-max", "6", "--samples", "100", "--jobs", "2"])
+    captured = capsys.readouterr()
+    assert code == 5
+    assert captured.err == "internal error: AssertionError: planted failure in a sweep worker\n"
+    assert multiprocessing.active_children() == []
+
+
+_real_compare = charsum.sweep._compare
+
+
+def _compare_fails_in_child(rec):
+    if os.getpid() != _TEST_PID:
+        raise AssertionError("planted failure in a sweep worker")
+    return _real_compare(rec)
+
+
+@fork_only
+def test_grid_exits_5_on_worker_assertion(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(charsum.sweep, "_compare", _compare_fails_in_child)
+    code = main([
+        "grid", "--m", "6", "--out", str(tmp_path / "grid.csv"), "--k-list", "1",
+        "--c1-list", "1", "--c2-list", "1", "--s1-list", "1", "--s2-list", "1", "--jobs", "2",
+    ])
     captured = capsys.readouterr()
     assert code == 5
     assert captured.err == "internal error: AssertionError: planted failure in a sweep worker\n"
@@ -444,9 +526,10 @@ def test_grid_counts_mismatches(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["mismatches"] == false_rows
 
 
-def test_grid_io_error_exit_4(capsys):
+def test_grid_io_error_exit_4(capsys, monkeypatch, tmp_path):
+    monkeypatch.setattr(charsum.sweep, "_compare", _never_compare)
     code, _ = run_cli(
-        capsys, "grid", "--m", "4", "--out", "/nonexistent-dir/x.csv",
+        capsys, "grid", "--m", "4", "--out", str(tmp_path / "missing" / "x.csv"),
         "--A-list", "2", "--B-list", "1", "--k-list", "1",
         "--c1-list", "1", "--c2-list", "1",
     )
