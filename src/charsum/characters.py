@@ -9,28 +9,25 @@ the sums downstream.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
+from .frozen import Frozen, set_field
 from .ring2adic import dlog5, v2
 
 
-@dataclass(frozen=True, slots=True)
-class Character:
+class Character(Frozen):
     """Character mod 2^m with chi(-1) = s and chi(5) = e_{2^(m-2)}(c)."""
 
-    m: int
-    s: int
-    c: int
+    __slots__ = ("m", "s", "c")
 
-    def __post_init__(self) -> None:
-        if self.m < 3:
-            raise ValueError(f"modulus exponent must be >= 3, got {self.m}")
-        if self.s not in (1, -1):
-            raise ValueError(f"sign value must be +1 or -1, got {self.s}")
-        if not 1 <= self.c <= 1 << (self.m - 2):
-            raise ValueError(
-                f"c must lie in [1, 2^{self.m - 2}] = [1, {1 << (self.m - 2)}], got {self.c}"
-            )
+    def __init__(self, m: int, s: int, c: int) -> None:
+        if m < 3:
+            raise ValueError(f"modulus exponent must be >= 3, got {m}")
+        if s not in (1, -1):
+            raise ValueError(f"sign value must be +1 or -1, got {s}")
+        if not 1 <= c <= 1 << (m - 2):
+            raise ValueError(f"c must lie in [1, 2^{m - 2}] = [1, {1 << (m - 2)}], got {c}")
+        set_field(self, "m", m)
+        set_field(self, "s", s)
+        set_field(self, "c", c)
 
 
 def principal(m: int) -> Character:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 
@@ -237,7 +238,15 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # a closed stdout raises here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away: point stdout at devnull, so that the
+        # interpreter's final flush of what is left cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output was closed before the result was written", file=sys.stderr)
+        return EXIT_IO
     except WidthCapError as ex:
         print(f"error: {ex}", file=sys.stderr)
         return EXIT_CAP

@@ -12,30 +12,33 @@ approximate those without densifying them.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from itertools import compress, count
+
+from .frozen import Frozen, set_field
 
 
-@dataclass(frozen=True, slots=True)
-class CycInt:
+class CycInt(Frozen):
     """An element of Z[zeta_{2^r}]: sum of coeffs[j] * zeta^j, j < 2^(r-1)."""
 
-    r: int
-    coeffs: tuple[int, ...]
+    __slots__ = ("r", "coeffs")
 
-    def __post_init__(self) -> None:
-        if self.r < 1:
-            raise ValueError(f"ring exponent must be >= 1, got {self.r}")
-        if len(self.coeffs) != 1 << (self.r - 1):
+    def __init__(self, r: int, coeffs: tuple[int, ...]) -> None:
+        if r < 1:
+            raise ValueError(f"ring exponent must be >= 1, got {r}")
+        if len(coeffs) != 1 << (r - 1):
             raise ValueError(
-                f"ring 2^{self.r} needs {1 << (self.r - 1)} coefficients, "
-                f"got {len(self.coeffs)}"
+                f"ring 2^{r} needs {1 << (r - 1)} coefficients, got {len(coeffs)}"
             )
+        set_field(self, "r", r)
+        set_field(self, "coeffs", coeffs)
 
     def is_zero(self) -> bool:
         return not any(self.coeffs)
 
     def to_json_dict(self) -> dict:
-        return terms_json(self.r, ((j, x) for j, x in enumerate(self.coeffs) if x))
+        c = self.coeffs
+        # compress walks the coefficients in C and yields the nonzero ones' indices
+        return terms_json(self.r, ((j, c[j]) for j in compress(count(), c)))
 
 
 def terms_json(r: int, terms) -> dict:

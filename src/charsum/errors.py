@@ -6,7 +6,10 @@ desk-scale memory and runtime.
 """
 
 MAX_M = 30          # closed-form evaluation refuses larger moduli
-MAX_ORACLE_M = 26   # time policy: 2^(m-1) terms, about 9 s at m = 26 (2-vCPU VM)
+# time policy: the oracle enumerates up to 2^(m-1) term exponents (all of
+# them when every row is one full period), 9-11 s at m = 26 in that worst
+# case (2-vCPU VM)
+MAX_ORACLE_M = 26
 # time policy for check and grid: the oracle terms a sweep may sum in total,
 # a few minutes at 40-100 ns per term
 MAX_SWEEP_TERMS = 1 << 32

@@ -20,8 +20,6 @@ so verification runs can re-derive everything from the report alone.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .characters import (
     Character,
     char_conj,
@@ -36,6 +34,7 @@ from .characters import (
 )
 from .cyclotomic import CycInt, abs2_terms, approx_terms, terms_json
 from .errors import MAX_M, WidthCapError
+from .frozen import Frozen, set_field
 from .ring2adic import dlog5, five_pow_cofactor, jacobi2, v2
 
 CASE_ZERO_PARITY = "ZeroParity"
@@ -52,28 +51,27 @@ REGIME_MIDRANGE = "MidRange"
 REGIME_LARGE = "Large"
 
 
-@dataclass(frozen=True, slots=True)
-class SumInstance:
+class SumInstance(Frozen):
     """Parameters (m, A, B, k) naming one concrete sum."""
 
-    m: int
-    A: int
-    B: int
-    k: int
+    __slots__ = ("m", "A", "B", "k")
 
-    def __post_init__(self) -> None:
-        if self.m < 3:
-            raise ValueError(f"modulus exponent must be >= 3, got {self.m}")
-        if self.m > MAX_M:
-            raise WidthCapError(f"modulus exponent {self.m} exceeds cap {MAX_M}")
-        if not 0 <= self.A < 1 << self.m or not 0 <= self.B < 1 << self.m:
+    def __init__(self, m: int, A: int, B: int, k: int) -> None:
+        if m < 3:
+            raise ValueError(f"modulus exponent must be >= 3, got {m}")
+        if m > MAX_M:
+            raise WidthCapError(f"modulus exponent {m} exceeds cap {MAX_M}")
+        if not 0 <= A < 1 << m or not 0 <= B < 1 << m:
             raise ValueError("A and B must be residues in [0, 2^m)")
-        if self.k < 1:
-            raise ValueError(f"k must be a positive integer, got {self.k}")
+        if k < 1:
+            raise ValueError(f"k must be a positive integer, got {k}")
+        set_field(self, "m", m)
+        set_field(self, "A", A)
+        set_field(self, "B", B)
+        set_field(self, "k", k)
 
 
-@dataclass(frozen=True, slots=True)
-class DerivedParams:
+class DerivedParams(Frozen):
     """2-adic shape of a normalized instance (A even, B odd).
 
     n = v2(A) and A1 its odd part (A = 0 is folded into n = m, the deepest
@@ -82,31 +80,45 @@ class DerivedParams:
     of the characteristic congruence.  Both are None in the Tiny regime.
     """
 
-    n: int
-    A1: int
-    t: int
-    k1: int
-    N: int | None
-    M_exp: int | None
-    regime: str
+    __slots__ = ("n", "A1", "t", "k1", "N", "M_exp", "regime")
+
+    def __init__(
+        self, n: int, A1: int, t: int, k1: int, N: int | None, M_exp: int | None, regime: str
+    ) -> None:
+        set_field(self, "n", n)
+        set_field(self, "A1", A1)
+        set_field(self, "t", t)
+        set_field(self, "k1", k1)
+        set_field(self, "N", N)
+        set_field(self, "M_exp", M_exp)
+        set_field(self, "regime", regime)
 
 
-@dataclass(frozen=True, slots=True)
-class NormalizedProblem:
+class NormalizedProblem(Frozen):
     """Outcome of normalize(): a terminal zero, a four-term sum, or
     a standard-form problem (A even, B odd, chi2 primitive) plus the power
     of two the modulus reduction multiplied every term class by."""
 
-    kind: str  # "zero" | "direct" | "standard"
-    zero_case: str | None
-    inst: SumInstance | None
-    chi1: Character | None
-    chi2: Character | None
-    scale_log2: int
+    __slots__ = ("kind", "zero_case", "inst", "chi1", "chi2", "scale_log2")
+
+    def __init__(
+        self,
+        kind: str,  # "zero" | "direct" | "standard"
+        zero_case: str | None,
+        inst: SumInstance | None,
+        chi1: Character | None,
+        chi2: Character | None,
+        scale_log2: int,
+    ) -> None:
+        set_field(self, "kind", kind)
+        set_field(self, "zero_case", zero_case)
+        set_field(self, "inst", inst)
+        set_field(self, "chi1", chi1)
+        set_field(self, "chi2", chi2)
+        set_field(self, "scale_log2", scale_log2)
 
 
-@dataclass(frozen=True, slots=True)
-class ClosedForm:
+class ClosedForm(Frozen):
     """Structured exact result.
 
     terms is the sparse value: pairs (exponent, coefficient) in the ring
@@ -118,14 +130,30 @@ class ClosedForm:
     to the reduced problem.
     """
 
-    case: str
-    ring_exponent: int
-    terms: tuple[tuple[int, int], ...]
-    magnitude_halves: int | None
-    x0: int | None
-    lambda_parity: int | None
-    h: int | None
-    scale_log2: int
+    __slots__ = (
+        "case", "ring_exponent", "terms", "magnitude_halves", "x0", "lambda_parity", "h",
+        "scale_log2",
+    )
+
+    def __init__(
+        self,
+        case: str,
+        ring_exponent: int,
+        terms: tuple[tuple[int, int], ...],
+        magnitude_halves: int | None,
+        x0: int | None,
+        lambda_parity: int | None,
+        h: int | None,
+        scale_log2: int,
+    ) -> None:
+        set_field(self, "case", case)
+        set_field(self, "ring_exponent", ring_exponent)
+        set_field(self, "terms", terms)
+        set_field(self, "magnitude_halves", magnitude_halves)
+        set_field(self, "x0", x0)
+        set_field(self, "lambda_parity", lambda_parity)
+        set_field(self, "h", h)
+        set_field(self, "scale_log2", scale_log2)
 
     def value(self) -> CycInt:
         """Dense ring element; costs O(2^(r-1)) to materialize."""

@@ -3,9 +3,9 @@
 Every odd x mod 2^m is +-5^gamma for gamma = 0..2^(m-2)-1.  For odd k the
 x = -5^gamma half of the sum is the x = +5^gamma half with -A in place of A,
 times chi1(-1); for even k the two halves feed the same inner argument.  So
-`brute_force` and `half_sum` both run one loop, `_sum`, over gamma: each term
-adds 1 to the count of its full exponent in Z/2^r, and the counts fold onto
-the power basis once at the end.
+`brute_force` and `half_sum` both run one loop, `_sum`, over gamma: it counts
+the terms on each full exponent in Z/2^r, and the counts fold onto the power
+basis once at the end.
 
 Parity hoist: for odd x the inner argument A*x^k + B is A + B mod 2, so an
 even A + B makes the sum zero outright, and otherwise every argument is odd.
@@ -26,13 +26,17 @@ v^j with v = 5^(k 2^(h-2)) = 1 (mod 2^h).  Since 2h >= m, (v - 1)^2 = 0
 (mod 2^m), so v^j = 1 + j*(v - 1) (mod 2^m) exactly: the same fact as the
 split log's, that 1 + 2^h*Z/2^m is cyclic with a linear log.  chi1's
 exponent also grows by a fixed step per j, so a row's 2^(m-h) term
-exponents form one arithmetic progression, and the row is one `range` with
-one count per term.  Each term is still counted on its own.
+exponents form one arithmetic progression.  Reduced mod 2^r it repeats with
+a period that is a power of two, so the row is one `range` over its first
+period, each exponent counted once per period: every term's exponent is
+still enumerated, and no row is summed in closed form.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import islice, repeat
+from operator import mul, sub
 
 from .characters import Character
 from .cyclotomic import CycInt, zero
@@ -95,9 +99,12 @@ def _sum(
     and 2h >= m, (v - 1)^2 = 0 (mod 2^m), so v^j = 1 + j*(v - 1) (mod 2^m)
     exactly, and the exponents run start + j*step with
         start = (a*pm + q) mod 2^m,  step = (a*(v - 1)*pm + (c1 << h)) mod 2^m,
-    both multiples of 2^drop.  So each row is one `range` of n = 2^(m-h)
-    values (n counts on one slot if step = 0), each term still counted once
-    on its own exponent mod 2^r: no row is summed in closed form.
+    both multiples of 2^drop.  Mod 2^r these n = 2^(m-h) exponents repeat
+    every per = min(n, 2^r / (step & -step)) terms (per = 1 if step = 0,
+    which is a step of 2^r), and per divides n, both being powers of two.
+    So each row is one `range` over its first per exponents, each counted
+    n / per times: the count vector is the term-by-term one, and no row is
+    summed in closed form.
     """
     m = inst.m
     r = ring_exponent_for(m)
@@ -116,8 +123,9 @@ def _sum(
     v = pow(fk, 1 << (h - 2), mod)  # 5^(k 2^(h-2)) = 1 (mod 2^h)
     n = 1 << (m - h)  # terms per row
     e1 = c1 << h  # chi1's exponent step from one j to the next
-    rmask = (1 << r) - 1
-    cnt = [0] * (1 << r)
+    size = 1 << r
+    rmask = size - 1
+    cnt = [0] * size
     for a, base in halves:
         off = (base << drop) - cu
         da = a * (v - 1)
@@ -128,15 +136,15 @@ def _sum(
             pm = z * mcu & mmask
             q = b * mcu + off + ((c1 * g + c2 * l) << 2) + (turn2 if negative else 0)
             start = ((a * pm + q) & mmask) >> drop
-            step = ((da * pm + e1) & mmask) >> drop
-            if step:
-                for x in range(start, start + n * step, step):
-                    cnt[x & rmask] += 1
-            else:
-                cnt[start] += n
+            step = ((da * pm + e1) & mmask) >> drop or size  # 0 = 2^r (mod 2^r)
+            per = min(n, size // (step & -step))
+            rep = n // per
+            for x in range(start, start + per * step, step):
+                cnt[x & rmask] += rep
             z = z * fk & mmask
     half = 1 << (r - 1)
-    return CycInt(r, tuple(weight * (cnt[e] - cnt[e + half]) for e in range(half)))
+    diff = map(sub, islice(cnt, half), islice(cnt, half, None))
+    return CycInt(r, tuple(diff if weight == 1 else map(mul, diff, repeat(weight))))
 
 
 def brute_force(inst: SumInstance, chi1: Character, chi2: Character) -> CycInt:

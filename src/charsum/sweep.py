@@ -26,7 +26,6 @@ import random
 import time
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass, field
 from itertools import islice
 
 from .characters import Character
@@ -48,16 +47,35 @@ DEFAULT_KS = (1, 2, 3, 4, 6, 8, 12)
 _BLOCK = 1 << 16  # records per block: a sweep holds one block and its results
 
 
-@dataclass
 class CheckReport:
-    instances_checked: int
-    mismatches: list[Record]
-    tag_counts: Counter = field(default_factory=Counter)
-    magnitude_violations: list[Record] = field(default_factory=list)
-    closed_seconds: float = 0.0
-    brute_seconds: float = 0.0
-    seed: int | None = None
-    jobs: int = 1
+    """What `run_check` adds up: the mismatching and magnitude-violating
+    records (sorted at the end), case tag counts, and the seconds spent in
+    each method.
+
+    Unlike the frozen records it is a plain object: `run_check` fills it in,
+    and callers may attach more (the acceptance tests attach their wall time).
+    Reports are equal when their eight fields are.
+    """
+
+    _FIELDS = (
+        "instances_checked", "mismatches", "tag_counts", "magnitude_violations",
+        "closed_seconds", "brute_seconds", "seed", "jobs",
+    )
+
+    def __init__(self, seed: int | None, jobs: int) -> None:
+        self.instances_checked = 0
+        self.mismatches: list[Record] = []
+        self.tag_counts: Counter = Counter()
+        self.magnitude_violations: list[Record] = []
+        self.closed_seconds = 0.0
+        self.brute_seconds = 0.0
+        self.seed = seed
+        self.jobs = jobs
+
+    def __eq__(self, other) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
 
     def ok(self) -> bool:
         return not self.mismatches and not self.magnitude_violations
@@ -195,7 +213,7 @@ def run_check(
     so the report does not depend on the worker count.
     """
     jobs = jobs or os.cpu_count() or 1
-    report = CheckReport(0, [], seed=seed, jobs=jobs)
+    report = CheckReport(seed, jobs)
     for n, mis, tags, mag, tc, tb in _blocks(_check_chunk, records, jobs):
         report.instances_checked += n
         report.mismatches.extend(mis)

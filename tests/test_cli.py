@@ -1,4 +1,3 @@
-import dataclasses
 import io
 import json
 import multiprocessing
@@ -13,6 +12,7 @@ import charsum.cli
 import charsum.sweep
 from charsum.cli import main
 from charsum.cyclotomic import zero
+from charsum.evaluator import ClosedForm
 from charsum.sweep import GRID_HEADER
 
 
@@ -230,6 +230,42 @@ def test_eval_does_not_import_sweep():
     assert json.loads(proc.stdout)["match"] is True
 
 
+def test_cli_does_not_import_dataclasses():
+    # importing dataclasses (and inspect) would cost every CLI process milliseconds
+    script = (
+        "import sys; from charsum.cli import main; "
+        "loaded = 'dataclasses' in sys.modules; "
+        "main(['eval', '--m', '8', '--method', 'both']); "
+        "sys.exit(3 if loaded or 'dataclasses' in sys.modules else 0)"
+    )
+    src = os.path.dirname(os.path.dirname(charsum.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "--m", "12"],
+    ["check", "--m-min", "3", "--m-max", "6", "--samples", "50", "--jobs", "1"],
+])
+def test_closed_stdout_is_an_io_failure(argv):
+    # a reader that stops early (`charsum ... | head -1`) is exit 4, not the mismatch code 1
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = os.path.dirname(os.path.dirname(charsum.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "charsum.cli", *argv],
+            env=env, stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 4, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr == "error: standard output was closed before the result was written\n"
+
+
 def test_check_small_sweep(capsys):
     code, out = run_cli(
         capsys, "check", "--m-min", "5", "--m-max", "8",
@@ -444,7 +480,10 @@ def test_check_flags_wrong_magnitude(capsys, monkeypatch):
 
     def doubled(inst, chi1, chi2):
         cf = real(inst, chi1, chi2)
-        return dataclasses.replace(cf, terms=tuple((e, 2 * x) for e, x in cf.terms))
+        return ClosedForm(
+            cf.case, cf.ring_exponent, tuple((e, 2 * x) for e, x in cf.terms),
+            cf.magnitude_halves, cf.x0, cf.lambda_parity, cf.h, cf.scale_log2,
+        )
 
     monkeypatch.setattr(charsum.sweep, "closed_form", doubled)
     monkeypatch.setattr(charsum.sweep, "brute_force", lambda *args: doubled(*args).value())

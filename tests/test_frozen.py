@@ -1,0 +1,128 @@
+"""The package's value records, without dataclasses: the frozen records'
+equality, hashing, immutability, repr, pickling and constructor checks, and
+the check report's equality."""
+
+import pickle
+import re
+
+import pytest
+
+from charsum.characters import Character
+from charsum.cyclotomic import CycInt
+from charsum.errors import WidthCapError
+from charsum.evaluator import (
+    ClosedForm,
+    DerivedParams,
+    NormalizedProblem,
+    SumInstance,
+    closed_form,
+    derive,
+    normalize,
+)
+from charsum.frozen import Frozen, set_field
+from charsum.sweep import CheckReport
+
+
+def _records():
+    """One record of each class, built afresh on every call."""
+    inst = SumInstance(7, 2, 1, 1)
+    chi1, chi2 = Character(7, 1, 2), Character(7, 1, 1)
+    return [
+        inst,
+        chi1,
+        CycInt(3, (0, 4, 0, -4)),
+        derive(inst),
+        normalize(inst, chi1, chi2),
+        closed_form(inst, chi1, chi2),
+    ]
+
+
+def _fields(rec):
+    return [getattr(rec, f) for f in rec.__slots__]
+
+
+def test_every_record_class_is_covered():
+    assert {type(r) for r in _records()} == {
+        SumInstance, Character, CycInt, DerivedParams, NormalizedProblem, ClosedForm,
+    }
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_records_compare_and_hash_by_value(index):
+    a, b = _records()[index], _records()[index]
+    assert a is not b and a == b and not a != b
+    assert hash(a) == hash(b)
+    clone = type(a)(*_fields(a))
+    assert clone == a
+    assert pickle.loads(pickle.dumps(a)) == a
+
+
+def test_equality_needs_the_same_type():
+    class Lookalike(Frozen):
+        __slots__ = ("m", "s", "c")
+
+        def __init__(self, m, s, c):
+            set_field(self, "m", m)
+            set_field(self, "s", s)
+            set_field(self, "c", c)
+
+    chi = Character(5, 1, 3)
+    assert chi != Lookalike(5, 1, 3)
+    assert chi != (5, 1, 3)
+    assert chi != Character(5, -1, 3)
+    assert SumInstance(5, 2, 1, 1) != SumInstance(5, 2, 1, 3)
+    assert len({chi, Character(5, 1, 3), Character(5, 1, 1)}) == 2
+
+
+@pytest.mark.parametrize("index", range(6))
+def test_records_are_immutable(index):
+    rec = _records()[index]
+    before = _fields(rec)
+    for name in rec.__slots__:
+        with pytest.raises(AttributeError):
+            setattr(rec, name, 0)
+        with pytest.raises(AttributeError):
+            delattr(rec, name)
+    with pytest.raises(AttributeError):
+        rec.extra = 1
+    assert _fields(rec) == before
+
+
+def test_repr_names_the_fields():
+    assert repr(Character(5, 1, 3)) == "Character(m=5, s=1, c=3)"
+    assert repr(CycInt(2, (1, -1))) == "CycInt(r=2, coeffs=(1, -1))"
+    assert repr(DerivedParams(1, 1, 0, 1, None, None, "Tiny")) == (
+        "DerivedParams(n=1, A1=1, t=0, k1=1, N=None, M_exp=None, regime='Tiny')"
+    )
+    for rec in _records():
+        text = repr(rec)
+        assert text.startswith(type(rec).__name__ + "(")
+        assert all(f"{f}=" in text for f in rec.__slots__)
+
+
+@pytest.mark.parametrize("build, exc, message", [
+    (lambda: Character(2, 1, 1), ValueError, "modulus exponent must be >= 3, got 2"),
+    (lambda: Character(5, 0, 1), ValueError, "sign value must be +1 or -1, got 0"),
+    (lambda: Character(5, 1, 9), ValueError, "c must lie in [1, 2^3] = [1, 8], got 9"),
+    (lambda: CycInt(0, ()), ValueError, "ring exponent must be >= 1, got 0"),
+    (lambda: CycInt(3, (1, 2)), ValueError, "ring 2^3 needs 4 coefficients, got 2"),
+    (lambda: SumInstance(2, 0, 1, 1), ValueError, "modulus exponent must be >= 3, got 2"),
+    (lambda: SumInstance(31, 2, 1, 1), WidthCapError, "modulus exponent 31 exceeds cap 30"),
+    (lambda: SumInstance(5, 32, 1, 1), ValueError, "A and B must be residues in [0, 2^m)"),
+    (lambda: SumInstance(5, 2, 1, 0), ValueError, "k must be a positive integer, got 0"),
+])
+def test_constructor_checks_keep_their_messages(build, exc, message):
+    with pytest.raises(exc, match=f"^{re.escape(message)}$"):
+        build()
+
+
+
+def test_check_reports_compare_by_their_fields():
+    a, b = CheckReport(7, 1), CheckReport(7, 1)
+    assert a == b and a is not b
+    assert a != CheckReport(7, 2) and a != CheckReport(8, 1)
+    b.tag_counts["ZeroParity"] += 1
+    assert a != b
+    a.tag_counts["ZeroParity"] += 1
+    a.elapsed = 3.0  # callers may attach more
+    assert a == b

@@ -1,6 +1,7 @@
 import functools
 import importlib.util
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -118,6 +119,40 @@ def test_row_step_power_is_linear_in_j():
                 assert pow(v, j, mod) == (1 + j * (v - 1)) % mod, (m, k, j)
 
 
+def test_row_period_counts_equal_the_full_row():
+    # a row's exponents start + j*step (j < n), reduced mod 2^r, repeat every
+    # per = min(n, 2^r / (step & -step)) terms, and per divides n: counting
+    # the first per of them n / per times each gives the full row's counts
+    rng = random.Random(13)
+    seen = set()
+    for m in range(3, 27):
+        r, (h, uinv, low) = ring_exponent_for(m), _low_logs(m)
+        mod, size, n, drop = 1 << m, 1 << r, 1 << (m - h), m - r
+        steps = [0, *(1 << j for j in range(r))]  # every period length
+        for _ in range(12):  # a row's step as the oracle forms it
+            a = (rng.randrange(mod) << rng.randrange(m)) % mod
+            b = rng.randrange(1 - a % 2, mod, 2)  # A + B odd
+            k = rng.randrange(1, 64) << rng.randrange(3)
+            c1 = rng.randint(1, mod >> 2) << rng.randrange(m - 2)
+            c2 = rng.randint(1, mod >> 2)
+            z = pow(5, k * rng.randrange(1 << (h - 2)), mod)
+            mlo = low[(a * z + b) & ((1 << h) - 1)][2]
+            pm = z * mlo * (c2 * uinv % (1 << (m - h))) % mod
+            v = pow(5, k << (h - 2), mod)
+            steps.append(((a * (v - 1) * pm + (c1 << h)) % mod) >> drop)
+        for step in steps:
+            start = rng.randrange(size)
+            full = Counter((start + j * step) % size for j in range(n))
+            per = min(n, size // (step & -step)) if step else 1
+            assert n % per == 0
+            collapsed = Counter()
+            for j in range(per):
+                collapsed[(start + j * step) % size] += n // per
+            assert collapsed == full, (m, start, step)
+            seen.add(per < n)
+    assert seen == {True, False}
+
+
 def _split_log(y, m):
     """(negative, L) with y = (-1)^negative * 5^L mod 2^m, read from the split table."""
     h, uinv, low = _low_logs(m)
@@ -195,6 +230,10 @@ def _reference_sum(inst, chi1, chi2, xs):
 @example((SumInstance(3, 1, 0, 3), Character(3, -1, 1), Character(3, -1, 2)))
 @example((SumInstance(3, 1, 0, 3), Character(3, -1, 1), Character(3, -1, 1)))
 @example((SumInstance(4, 1, 0, 3), Character(4, -1, 1), Character(4, -1, 3)))
+# Large shapes with c1 = 2^(n+t) * odd: their rows of 16 terms repeat every
+# 1 or 2 terms, so each exponent of a period counts 16 or 8 times
+@example((SumInstance(9, 2, 1, 1), Character(9, 1, 2), Character(9, 1, 1)))
+@example((SumInstance(8, 2, 1, 3), Character(8, -1, 2), Character(8, 1, 3)))
 def test_oracle_matches_independent_reference(case):
     inst, chi1, chi2 = case
     mod = 1 << inst.m
