@@ -30,16 +30,6 @@ class Character(Frozen):
         set_field(self, "c", c)
 
 
-def principal(m: int) -> Character:
-    """chi_0: identically 1 on odd residues."""
-    return Character(m, 1, 1 << (m - 2))
-
-
-def sign_mod4(m: int) -> Character:
-    """chi_4: +1 or -1 as the argument is 1 or 3 mod 4."""
-    return Character(m, -1, 1 << (m - 2))
-
-
 def char_exp(chi: Character, x: int, r: int) -> tuple[int, int]:
     """(e, sign) with chi(x) = sign * zeta_{2^r}^e, for odd x and r >= m - 2."""
     if chi.c == 1 << (chi.m - 2):
@@ -50,11 +40,6 @@ def char_exp(chi: Character, x: int, r: int) -> tuple[int, int]:
     eps, gamma = dlog5(x, chi.m)
     # chi(x) = s^eps * zeta_{2^(m-2)}^(c*gamma), re-indexed into ring 2^r
     return (chi.c * gamma) << (r - (chi.m - 2)), chi.s if eps else 1
-
-
-def is_primitive(chi: Character) -> bool:
-    """True when chi does not factor through any smaller power of 2."""
-    return chi.c % 2 == 1
 
 
 def conductor(chi: Character) -> int:

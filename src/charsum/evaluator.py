@@ -16,6 +16,9 @@ solutions.
 
 Witness data (x0, the parity of lambda, h) follows the sparse value around
 so verification runs can re-derive everything from the report alone.
+Results with no terms and scale 0 (ZeroParity, ZeroImprimitive, and
+ZeroCondition when nothing was reduced) are shared immutable constants, one
+per (case, ring exponent), so a sum that vanishes allocates no result.
 """
 
 from __future__ import annotations
@@ -28,14 +31,11 @@ from .characters import (
     char_pow,
     conductor,
     induced,
-    is_primitive,
-    principal,
-    sign_mod4,
 )
 from .cyclotomic import CycInt, abs2_terms, approx_terms, terms_json
 from .errors import MAX_M, WidthCapError
 from .frozen import Frozen, set_field
-from .ring2adic import dlog5, five_pow_cofactor, jacobi2, v2
+from .ring2adic import dlog5, five_pow_cofactor, jacobi2
 
 CASE_ZERO_PARITY = "ZeroParity"
 CASE_ZERO_IMPRIMITIVE = "ZeroImprimitive"
@@ -188,6 +188,15 @@ def ring_exponent_for(m: int) -> int:
     return max(m - 2, 3)
 
 
+# A result with no terms and scale 0 is fixed by (case, ring exponent): one
+# frozen instance each, shared by every call that ends there.
+_ZEROS = {
+    (case, r): ClosedForm(case, r, (), None, None, None, None, 0)
+    for case in (CASE_ZERO_PARITY, CASE_ZERO_IMPRIMITIVE, CASE_ZERO_CONDITION)
+    for r in range(3, ring_exponent_for(MAX_M) + 1)
+}
+
+
 # ---------------------------------------------------------------------------
 # sparse term helpers
 
@@ -218,22 +227,26 @@ def _sparse_abs2_log2(terms: tuple[tuple[int, int], ...], r: int) -> int:
 
 def _closed(
     case: str,
-    m: int,
-    acc: dict[int, int] | None,
+    r: int,
+    acc: dict[int, int],
     *,
     x0: int | None = None,
     lam: int | None = None,
     h: int | None = None,
     scale_log2: int = 0,
 ) -> ClosedForm:
-    r = ring_exponent_for(m)
-    terms = _terms(acc) if acc else ()
+    terms = _terms(acc)
     mag = _sparse_abs2_log2(terms, r) if terms else None
     return ClosedForm(case, r, terms, mag, x0, lam, h, scale_log2)
 
 
 # ---------------------------------------------------------------------------
 # normalization
+
+# normalize's terminal zeros carry no instance data
+_NORM_ZERO_PARITY = NormalizedProblem("zero", CASE_ZERO_PARITY, None, None, None, 0)
+_NORM_ZERO_IMPRIMITIVE = NormalizedProblem("zero", CASE_ZERO_IMPRIMITIVE, None, None, None, 0)
+
 
 def normalize(inst: SumInstance, chi1: Character, chi2: Character) -> NormalizedProblem:
     """Reduce to the standing shape: A even, B odd, chi2 primitive.
@@ -248,17 +261,17 @@ def normalize(inst: SumInstance, chi1: Character, chi2: Character) -> Normalized
     """
     if chi1.m != inst.m or chi2.m != inst.m:
         raise ValueError("characters and instance must share the modulus")
-    if (inst.A & 1) == (inst.B & 1):
-        return NormalizedProblem("zero", CASE_ZERO_PARITY, None, None, None, 0)
+    if not (inst.A ^ inst.B) & 1:
+        return _NORM_ZERO_PARITY
     if inst.A & 1:
         chi1 = char_conj(char_mul(chi1, char_pow(chi2, inst.k)))
         inst = SumInstance(inst.m, inst.B, inst.A, inst.k)
     scale = 0
     while True:
-        if is_primitive(chi2):
+        if chi2.c & 1:  # chi2 primitive
             return NormalizedProblem("standard", None, inst, chi1, chi2, scale)
-        if is_primitive(chi1):
-            return NormalizedProblem("zero", CASE_ZERO_IMPRIMITIVE, None, None, None, 0)
+        if chi1.c & 1:  # chi1 primitive, chi2 not
+            return _NORM_ZERO_IMPRIMITIVE
         mp = max(conductor(chi1), conductor(chi2))
         if mp < 3:
             # both characters live mod 4: four-term direct summation
@@ -277,15 +290,16 @@ def derive(inst: SumInstance) -> DerivedParams:
     """2-adic shape and regime of a normalized instance (A even, B odd)."""
     if inst.A & 1 or not inst.B & 1:
         raise ValueError("derive expects even A and odd B (normalize first)")
-    t = v2(inst.k)
-    k1 = inst.k >> t
-    if inst.A == 0:
+    m, A, k = inst.m, inst.A, inst.k
+    t = (k & -k).bit_length() - 1  # v2(k)
+    k1 = k >> t
+    if A == 0:
         # A = 0 mod 2^m behaves as valuation >= m: deepest Tiny shape
-        return DerivedParams(inst.m, 1, t, k1, None, None, REGIME_TINY)
-    n = v2(inst.A)
-    a1 = inst.A >> n
-    d = inst.m - n
-    m_exp = ((inst.m + n) >> 1) + t
+        return DerivedParams(m, 1, t, k1, None, None, REGIME_TINY)
+    n = (A & -A).bit_length() - 1  # v2(A)
+    a1 = A >> n
+    d = m - n
+    m_exp = ((m + n) >> 1) + t
     if d < t + 2:
         return DerivedParams(n, a1, t, k1, None, None, REGIME_TINY)
     if d == t + 2:
@@ -368,11 +382,12 @@ def evaluate_large(
     if params.regime != REGIME_LARGE:
         raise ValueError(f"not a Large-regime instance: {params.regime}")
     m, n, t = inst.m, params.n, params.t
+    r = ring_exponent_for(m)
     nt = n + t
-    if v2(chi1.c) != nt:
-        return _closed(CASE_ZERO_CONDITION, m, None)
-    if inst.k % 2 == 0 and chi1.s != 1:
-        return _closed(CASE_ZERO_CONDITION, m, None)
+    c1 = chi1.c
+    # v2(c1) != n + t, or chi1(-1) = -1 with k even
+    if c1 & -c1 != 1 << nt or (inst.k % 2 == 0 and chi1.s != 1):
+        return _ZEROS[CASE_ZERO_CONDITION, r]
 
     m_exp = params.M_exp
     # one bit above the congruence's modulus carries lambda
@@ -384,7 +399,7 @@ def evaluate_large(
     u = -(const >> nt) * pow(coef >> nt, -1, 1 << w) % (1 << w)
     root = _smallest_root(u, params.k1, t, w)
     if root is None:
-        return _closed(CASE_ZERO_CONDITION, m, None)
+        return _ZEROS[CASE_ZERO_CONDITION, r]
     if x0 is None:
         x0 = root
 
@@ -395,7 +410,6 @@ def evaluate_large(
 
     mod = 1 << m
     y0 = (inst.A * pow(x0, inst.k, mod) + inst.B) % mod
-    r = ring_exponent_for(m)
     e1, s1 = char_exp(chi1, x0, r)
     e2, s2 = char_exp(chi2, y0, r)
     sign = s1 * s2
@@ -407,7 +421,7 @@ def evaluate_large(
         case = CASE_LARGE_EVEN
         h = None
     else:
-        c3 = chi1.c >> nt
+        c3 = c1 >> nt
         h = (2 * lam + (params.k1 - 1) + (pow(2, n, 8) - 1) * c3) & 7
         coeff = (sign * jacobi2(h)) << half_pow
         step8 = 1 << (r - 3)
@@ -415,7 +429,7 @@ def evaluate_large(
         _fold(acc, r, e + (h + 1) * step8, coeff)
         _fold(acc, r, e + (h + 3) * step8, -coeff)
         case = CASE_LARGE_ODD
-    cf = _closed(case, m, acc, x0=x0, lam=lam, h=h)
+    cf = _closed(case, r, acc, x0=x0, lam=lam, h=h)
     if cf.magnitude_halves != m + n + 2 * t + 2 * min(1, t):
         raise AssertionError("magnitude disagrees with the regime formula")
     return cf
@@ -435,6 +449,8 @@ def evaluate_small(
     that means chi1 is the principal character (k even) or the mod-4 sign
     character (k odd); at m - n = t + 3 it pins the parameter to 2^(m-3);
     in between the characteristic values at +-1 decide, and never both.
+    Tiny and the edge are decided from chi1's two fields: the principal
+    character is s = 1, c = 2^(m-2), the mod-4 sign s = -1, c = 2^(m-2).
     params is derive(inst).
     """
     regime = params.regime
@@ -445,11 +461,12 @@ def evaluate_small(
     plus = ((1, m - 1),)
     both = ((1, m - 2), (-1, m - 2))
     if regime == REGIME_TINY:
-        witnesses = plus if chi1 == principal(m) else ()
+        witnesses = plus if chi1.s == 1 and chi1.c == 1 << (m - 2) else ()
     elif k_even and chi1.s != 1:
         witnesses = ()
     elif regime == REGIME_EDGE_T2:
-        witnesses = plus if chi1 == (principal(m) if k_even else sign_mod4(m)) else ()
+        # chi1(5) = 1 and chi1(-1) = (-1)^k: principal (k even) or mod-4 sign (k odd)
+        witnesses = plus if chi1.c == 1 << (m - 2) and (k_even or chi1.s == -1) else ()
     elif regime == REGIME_EDGE_T3:
         witnesses = () if chi1.c != 1 << (m - 3) else plus if k_even else both
     else:  # MidRange: t + 3 < m - n <= 2t + 4
@@ -461,7 +478,7 @@ def evaluate_small(
             if len(witnesses) == 2:
                 raise AssertionError("characteristic values at +1 and -1 cannot both vanish here")
     if not witnesses:
-        return _closed(CASE_ZERO_CONDITION, m, None)
+        return _ZEROS[CASE_ZERO_CONDITION, ring_exponent_for(m)]
     return _collapse(regime, inst, chi1, chi2, witnesses)
 
 
@@ -476,12 +493,14 @@ def _collapse(
     """Sum of 2^shift * chi1(x) * chi2(A x^k + B) over witnesses (x, shift), x = +-1."""
     m = inst.m
     r = ring_exponent_for(m)
-    mod = 1 << m
+    A, B = inst.A, inst.B
     acc: dict[int, int] = {}
     for x, shift in witnesses:
-        e, s = char_exp(chi2, (inst.A * pow(x, inst.k, mod) + inst.B) % mod, r)
+        # A x^k + B: x^k = -1 only for x = -1 and odd k
+        y = B - A if x == -1 and inst.k & 1 else B + A
+        e, s = char_exp(chi2, y % (1 << m), r)
         _fold(acc, r, e, (s if x == 1 else chi1.s * s) << shift)
-    return _closed(case, m, acc, scale_log2=scale_log2)
+    return _closed(case, r, acc, scale_log2=scale_log2)
 
 
 def _rescale(inner: ClosedForm, outer_m: int, scale_log2: int) -> ClosedForm:
@@ -500,7 +519,7 @@ def closed_form(inst: SumInstance, chi1: Character, chi2: Character) -> ClosedFo
     """Structured exact evaluation of the sum, without dense ring work."""
     norm = normalize(inst, chi1, chi2)
     if norm.kind == "zero":
-        return _closed(norm.zero_case, inst.m, None)
+        return _ZEROS[norm.zero_case, ring_exponent_for(inst.m)]
     if norm.kind == "direct":
         # both characters live mod 4: x = -1 repeats the x = +1 term or cancels it
         both = ((1, norm.inst.m - 2), (-1, norm.inst.m - 2))

@@ -2,10 +2,11 @@
 
 The package itself works on sparse term lists and compares them against the
 oracle's dense vectors without ever multiplying ring elements.  The tests
-need more: products, conjugates, sqrt(2), character values as ring elements
-and the complete solution set of the characteristic congruence, so that
-identities can be checked exactly and the closed form's shortcuts can be
-compared against a plain enumeration.  Those references live here.
+need more: products, conjugates, sqrt(2), character values as ring elements,
+the principal and mod-4 sign characters, a primitivity test, and the complete
+solution set of the characteristic congruence, so that identities can be
+checked exactly and the closed form's shortcuts can be compared against a
+plain enumeration.  Those references live here.
 """
 
 from __future__ import annotations
@@ -14,6 +15,21 @@ from charsum.characters import Character, char_exp
 from charsum.cyclotomic import CycInt, zero
 from charsum.evaluator import REGIME_LARGE, SumInstance, _c_affine, derive
 from charsum.ring2adic import v2
+
+
+def principal(m: int) -> Character:
+    """chi_0: identically 1 on odd residues."""
+    return Character(m, 1, 1 << (m - 2))
+
+
+def sign_mod4(m: int) -> Character:
+    """chi_4: +1 or -1 as the argument is 1 or 3 mod 4."""
+    return Character(m, -1, 1 << (m - 2))
+
+
+def is_primitive(chi: Character) -> bool:
+    """True when chi does not factor through any smaller power of 2."""
+    return chi.c % 2 == 1
 
 
 def from_int(n: int, r: int) -> CycInt:

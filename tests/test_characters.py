@@ -9,12 +9,9 @@ from charsum.characters import (
     char_pow,
     conductor,
     induced,
-    is_primitive,
-    principal,
-    sign_mod4,
 )
 from charsum.cyclotomic import zero
-from ringref import eval_char, from_int, mul, root_of_unity
+from ringref import eval_char, from_int, is_primitive, mul, principal, root_of_unity, sign_mod4
 
 
 def all_characters(m):

@@ -1,4 +1,7 @@
+import importlib.util
+import pickle
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -11,8 +14,6 @@ from charsum.characters import (
     char_conj,
     char_mul,
     char_pow,
-    principal,
-    sign_mod4,
 )
 from charsum.cyclotomic import CycInt
 from charsum.errors import WidthCapError
@@ -28,6 +29,7 @@ from charsum.evaluator import (
     REGIME_LARGE,
     REGIME_MIDRANGE,
     REGIME_TINY,
+    ClosedForm,
     SumInstance,
     characteristic_value,
     closed_form,
@@ -35,10 +37,21 @@ from charsum.evaluator import (
     evaluate_large,
     evaluate_small,
     normalize,
+    ring_exponent_for,
 )
 from charsum.oracle import brute_force
 from charsum.ring2adic import dlog5, v2
-from ringref import add, conj, eval_char, from_int, mul, scalar_mul, solve_characteristic
+from ringref import (
+    add,
+    conj,
+    eval_char,
+    from_int,
+    mul,
+    principal,
+    scalar_mul,
+    sign_mod4,
+    solve_characteristic,
+)
 
 
 def chars(m, s1, c1, s2, c2):
@@ -490,6 +503,115 @@ def test_tiny_zero_coefficient():
     assert cf.case == REGIME_TINY
     assert val == scalar_mul(16, eval_char(chi2, 7, val.r))
     assert val == brute_force(inst, principal(5), chi2)
+
+
+@pytest.mark.parametrize("m", (6, 7, 8))
+def test_tiny_and_edge_t2_decisions_match_oracle_for_every_chi1(m):
+    # Tiny and EdgeT2 keep the sum only for chi1(5) = 1 with the right sign,
+    # decided from chi1's two fields: check every chi1 against the oracle
+    cmax = 1 << (m - 2)
+    shapes = [  # (A, k, regime)
+        (0, 3, REGIME_TINY),
+        (1 << (m - 1), 1, REGIME_TINY),  # t = 0, m - n = 1
+        (3 << (m - 2), 2, REGIME_TINY),  # t = 1, m - n = 2
+        (1 << (m - 2), 3, REGIME_EDGE_T2),  # t = 0, m - n = 2
+        (3 << (m - 3), 2, REGIME_EDGE_T2),  # t = 1, m - n = 3
+        (1 << (m - 4), 4, REGIME_EDGE_T2),  # t = 2, m - n = 4
+    ]
+    chis2 = [Character(m, 1, 1), Character(m, -1, cmax - 1)]
+    for A, k, regime in shapes:
+        inst = SumInstance(m, A, 5, k)
+        assert derive(inst).regime == regime
+        alive = 0
+        for s1 in (1, -1):
+            for c1 in range(1, cmax + 1):
+                chi1 = Character(m, s1, c1)
+                for chi2 in chis2:
+                    cf = closed_form(inst, chi1, chi2)
+                    assert cf.value() == brute_force(inst, chi1, chi2), (inst, chi1, chi2)
+                    alive += not cf.is_zero()
+        # exactly one chi1 survives: principal, or the mod-4 sign at EdgeT2 with odd k
+        assert alive == len(chis2)
+
+
+# ---------------------------------------------------------------------------
+# shared terminal zeros
+
+def _zero_calls(m):
+    """One call per terminal-zero exit at m >= 6: (case, inst, chi1, chi2)."""
+    cmax = 1 << (m - 2)
+    return [
+        (CASE_ZERO_PARITY, SumInstance(m, 3, 5, 3), Character(m, 1, 5), Character(m, 1, 7)),
+        # chi1 primitive against an imprimitive chi2
+        (CASE_ZERO_IMPRIMITIVE, SumInstance(m, 2, 5, 1), Character(m, 1, 5), Character(m, 1, 2)),
+        # Tiny with a non-principal chi1
+        (CASE_ZERO_CONDITION, SumInstance(m, 0, 5, 1), Character(m, -1, cmax), Character(m, 1, 3)),
+        # Large (m - n = m - 1 > 4) with chi1's parameter odd, not 2^(n+t) * odd
+        (CASE_ZERO_CONDITION, SumInstance(m, 2, 1, 1), Character(m, 1, 1), Character(m, 1, 1)),
+    ]
+
+
+@pytest.mark.parametrize("m", (6, 7, 12, 30))
+def test_terminal_zeros_are_shared_frozen_constants(m):
+    r = ring_exponent_for(m)
+    regimes = [REGIME_TINY, REGIME_TINY, REGIME_TINY, REGIME_LARGE]
+    for (case, inst, chi1, chi2), regime in zip(_zero_calls(m), regimes):
+        cf = closed_form(inst, chi1, chi2)
+        assert cf == ClosedForm(case, r, (), None, None, None, None, 0)
+        assert closed_form(inst, chi1, chi2) is cf
+        if m <= 12:
+            assert brute_force(inst, chi1, chi2).is_zero()
+        with pytest.raises(AttributeError):
+            cf.terms = ((0, 1),)
+        with pytest.raises(AttributeError):
+            cf.scale_log2 = 1
+        again = pickle.loads(pickle.dumps(cf))
+        assert again == cf and again.case == case
+    # the Large zero comes from evaluate_large itself
+    _, inst, chi1, chi2 = _zero_calls(m)[3]
+    assert derive(inst).regime == REGIME_LARGE
+    assert evaluate_large(inst, chi1, chi2, derive(inst)) is closed_form(inst, chi1, chi2)
+
+
+def test_terminal_zeros_are_shared_per_ring_exponent():
+    # m = 3, 4 and 5 all live in ring 2^3
+    zeros = [
+        closed_form(SumInstance(m, 1, 3, 1), Character(m, 1, 1), Character(m, 1, 1))
+        for m in (3, 4, 5)
+    ]
+    assert zeros[0] is zeros[1] is zeros[2]
+    assert zeros[0] == ClosedForm(CASE_ZERO_PARITY, 3, (), None, None, None, None, 0)
+    assert normalize(SumInstance(5, 1, 3, 1), *chars(5, 1, 1, 1, 1)) is normalize(
+        SumInstance(7, 2, 4, 2), *chars(7, -1, 3, 1, 5)
+    )
+
+
+@pytest.mark.parametrize("m", (8, 9, 20))
+def test_reduced_zero_keeps_its_scale(m):
+    # both characters factor through 2^(m-1): the reduced problem at m - 1 is
+    # Large with chi1's parameter odd, so it vanishes with one doubling
+    inst = SumInstance(m, 2, 1, 1)
+    chi1, chi2 = chars(m, 1, 2, 1, 6)
+    norm = normalize(inst, chi1, chi2)
+    assert norm.kind == "standard" and norm.scale_log2 == 1 and norm.inst.m == m - 1
+    cf = closed_form(inst, chi1, chi2)
+    assert cf == ClosedForm(CASE_ZERO_CONDITION, ring_exponent_for(m), (), None, None, None, None, 1)
+    shared = closed_form(norm.inst, norm.chi1, norm.chi2)
+    assert shared.scale_log2 == 0 and cf is not shared
+    if m <= 9:
+        assert brute_force(inst, chi1, chi2).is_zero()
+
+
+def test_closed_digest_is_pinned():
+    # any closed-form change that alters one field of one result on the m = 3
+    # grid or 20000 seeded samples at m = 3..30 changes this digest
+    path = Path(__file__).resolve().parent.parent / "scripts" / "closed_digest.py"
+    spec = importlib.util.spec_from_file_location("closed_digest", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.digest(20000) == (
+        24096, "289da0ef51ee702afd39ae507ffa9ab91018ed4f44272aa2af3834c9c0cad8f3"
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charsum.characters import Character, char_exp, principal, sign_mod4
+from charsum.characters import Character, char_exp
 from charsum.cyclotomic import CycInt, zero
 from charsum.errors import WidthCapError
 from charsum.evaluator import SumInstance, closed_form, ring_exponent_for
 from charsum.oracle import _low_logs, brute_force, half_sum
-from ringref import add, eval_char, from_int, mul, scalar_mul
+from ringref import add, eval_char, from_int, mul, principal, scalar_mul, sign_mod4
 
 
 def test_same_parity_sums_vanish():
