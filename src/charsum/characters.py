@@ -9,25 +9,25 @@ the sums downstream.
 
 from __future__ import annotations
 
-from .frozen import Frozen, set_field
+from collections import namedtuple
+
+from .frozen import Frozen
 from .ring2adic import dlog5, v2
 
 
-class Character(Frozen):
+class Character(Frozen, namedtuple("Character", "m s c")):
     """Character mod 2^m with chi(-1) = s and chi(5) = e_{2^(m-2)}(c)."""
 
-    __slots__ = ("m", "s", "c")
+    __slots__ = ()
 
-    def __init__(self, m: int, s: int, c: int) -> None:
+    def __new__(cls, m: int, s: int, c: int) -> Character:
         if m < 3:
             raise ValueError(f"modulus exponent must be >= 3, got {m}")
         if s not in (1, -1):
             raise ValueError(f"sign value must be +1 or -1, got {s}")
         if not 1 <= c <= 1 << (m - 2):
             raise ValueError(f"c must lie in [1, 2^{m - 2}] = [1, {1 << (m - 2)}], got {c}")
-        set_field(self, "m", m)
-        set_field(self, "s", s)
-        set_field(self, "c", c)
+        return tuple.__new__(cls, (m, s, c))
 
 
 def char_exp(chi: Character, x: int, r: int) -> tuple[int, int]:

@@ -115,6 +115,8 @@ def cmd_eval(args) -> int:
 def cmd_check(args) -> int:
     from .sweep import exhaustive_count, exhaustive_records, run_check, sample_records
 
+    if args.k_list is not None and not args.exhaustive:
+        raise ValueError("--k-list needs --exhaustive: sampled checks draw k themselves")
     if args.m_min > args.m_max:
         raise ValueError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
     _check_m("--m-min", args.m_min, MAX_ORACLE_M)
@@ -210,7 +212,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--exhaustive", action="store_true",
                    help="full grid over characters, A, odd B for each m")
     p.add_argument("--k-list", dest="k_list", type=_parse_int_list, default=None,
-                   help="comma-separated k values (exhaustive mode)")
+                   help="comma-separated k values (needs --exhaustive)")
     p.add_argument("--jobs", type=_positive_int, default=None,
                    help="processes, this one included (default: CPU count)")
     p.set_defaults(func=cmd_check)

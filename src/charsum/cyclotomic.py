@@ -12,28 +12,25 @@ approximate those without densifying them.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from itertools import compress, count
 
-from .frozen import Frozen, set_field
+from .frozen import Frozen
 
 
-class CycInt(Frozen):
+class CycInt(Frozen, namedtuple("CycInt", "r coeffs")):
     """An element of Z[zeta_{2^r}]: sum of coeffs[j] * zeta^j, j < 2^(r-1)."""
 
-    __slots__ = ("r", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, r: int, coeffs: tuple[int, ...]) -> None:
+    def __new__(cls, r: int, coeffs: tuple[int, ...]) -> CycInt:
         if r < 1:
             raise ValueError(f"ring exponent must be >= 1, got {r}")
         if len(coeffs) != 1 << (r - 1):
             raise ValueError(
                 f"ring 2^{r} needs {1 << (r - 1)} coefficients, got {len(coeffs)}"
             )
-        set_field(self, "r", r)
-        set_field(self, "coeffs", coeffs)
-
-    def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return tuple.__new__(cls, (r, coeffs))
 
     def to_json_dict(self) -> dict:
         c = self.coeffs

@@ -23,6 +23,8 @@ per (case, ring exponent), so a sum that vanishes allocates no result.
 
 from __future__ import annotations
 
+from collections import namedtuple
+
 from .characters import (
     Character,
     char_conj,
@@ -34,7 +36,7 @@ from .characters import (
 )
 from .cyclotomic import CycInt, abs2_terms, approx_terms, terms_json
 from .errors import MAX_M, WidthCapError
-from .frozen import Frozen, set_field
+from .frozen import Frozen
 from .ring2adic import dlog5, five_pow_cofactor, jacobi2
 
 CASE_ZERO_PARITY = "ZeroParity"
@@ -51,12 +53,12 @@ REGIME_MIDRANGE = "MidRange"
 REGIME_LARGE = "Large"
 
 
-class SumInstance(Frozen):
+class SumInstance(Frozen, namedtuple("SumInstance", "m A B k")):
     """Parameters (m, A, B, k) naming one concrete sum."""
 
-    __slots__ = ("m", "A", "B", "k")
+    __slots__ = ()
 
-    def __init__(self, m: int, A: int, B: int, k: int) -> None:
+    def __new__(cls, m: int, A: int, B: int, k: int) -> SumInstance:
         if m < 3:
             raise ValueError(f"modulus exponent must be >= 3, got {m}")
         if m > MAX_M:
@@ -65,13 +67,10 @@ class SumInstance(Frozen):
             raise ValueError("A and B must be residues in [0, 2^m)")
         if k < 1:
             raise ValueError(f"k must be a positive integer, got {k}")
-        set_field(self, "m", m)
-        set_field(self, "A", A)
-        set_field(self, "B", B)
-        set_field(self, "k", k)
+        return tuple.__new__(cls, (m, A, B, k))
 
 
-class DerivedParams(Frozen):
+class DerivedParams(Frozen, namedtuple("DerivedParams", "n A1 t k1 N M_exp regime")):
     """2-adic shape of a normalized instance (A even, B odd).
 
     n = v2(A) and A1 its odd part (A = 0 is folded into n = m, the deepest
@@ -80,45 +79,23 @@ class DerivedParams(Frozen):
     of the characteristic congruence.  Both are None in the Tiny regime.
     """
 
-    __slots__ = ("n", "A1", "t", "k1", "N", "M_exp", "regime")
-
-    def __init__(
-        self, n: int, A1: int, t: int, k1: int, N: int | None, M_exp: int | None, regime: str
-    ) -> None:
-        set_field(self, "n", n)
-        set_field(self, "A1", A1)
-        set_field(self, "t", t)
-        set_field(self, "k1", k1)
-        set_field(self, "N", N)
-        set_field(self, "M_exp", M_exp)
-        set_field(self, "regime", regime)
+    __slots__ = ()
 
 
-class NormalizedProblem(Frozen):
-    """Outcome of normalize(): a terminal zero, a four-term sum, or
-    a standard-form problem (A even, B odd, chi2 primitive) plus the power
-    of two the modulus reduction multiplied every term class by."""
+class NormalizedProblem(
+    Frozen, namedtuple("NormalizedProblem", "kind zero_case inst chi1 chi2 scale_log2")
+):
+    """Outcome of normalize(): a terminal zero (kind "zero", zero_case set),
+    a four-term sum ("direct"), or a standard-form problem ("standard": A
+    even, B odd, chi2 primitive) plus the power of two the modulus reduction
+    multiplied every term class by.  inst, chi1 and chi2 are None for a zero."""
 
-    __slots__ = ("kind", "zero_case", "inst", "chi1", "chi2", "scale_log2")
-
-    def __init__(
-        self,
-        kind: str,  # "zero" | "direct" | "standard"
-        zero_case: str | None,
-        inst: SumInstance | None,
-        chi1: Character | None,
-        chi2: Character | None,
-        scale_log2: int,
-    ) -> None:
-        set_field(self, "kind", kind)
-        set_field(self, "zero_case", zero_case)
-        set_field(self, "inst", inst)
-        set_field(self, "chi1", chi1)
-        set_field(self, "chi2", chi2)
-        set_field(self, "scale_log2", scale_log2)
+    __slots__ = ()
 
 
-class ClosedForm(Frozen):
+class ClosedForm(Frozen, namedtuple(
+    "ClosedForm", "case ring_exponent terms magnitude_halves x0 lambda_parity h scale_log2"
+)):
     """Structured exact result.
 
     terms is the sparse value: pairs (exponent, coefficient) in the ring
@@ -130,30 +107,7 @@ class ClosedForm(Frozen):
     to the reduced problem.
     """
 
-    __slots__ = (
-        "case", "ring_exponent", "terms", "magnitude_halves", "x0", "lambda_parity", "h",
-        "scale_log2",
-    )
-
-    def __init__(
-        self,
-        case: str,
-        ring_exponent: int,
-        terms: tuple[tuple[int, int], ...],
-        magnitude_halves: int | None,
-        x0: int | None,
-        lambda_parity: int | None,
-        h: int | None,
-        scale_log2: int,
-    ) -> None:
-        set_field(self, "case", case)
-        set_field(self, "ring_exponent", ring_exponent)
-        set_field(self, "terms", terms)
-        set_field(self, "magnitude_halves", magnitude_halves)
-        set_field(self, "x0", x0)
-        set_field(self, "lambda_parity", lambda_parity)
-        set_field(self, "h", h)
-        set_field(self, "scale_log2", scale_log2)
+    __slots__ = ()
 
     def value(self) -> CycInt:
         """Dense ring element; costs O(2^(r-1)) to materialize."""
@@ -165,9 +119,6 @@ class ClosedForm(Frozen):
 
     def approx(self) -> tuple[float, float]:
         return approx_terms(self.ring_exponent, self.terms)
-
-    def is_zero(self) -> bool:
-        return not self.terms
 
     def to_json_dict(self) -> dict:
         re, im = self.approx()

@@ -1,47 +1,29 @@
-"""Immutable value records without `dataclasses`.
+"""Immutable value records as named tuples that compare by type.
 
-A record class derives from Frozen, names its fields in `__slots__`, and sets
-each one once in `__init__` with `set_field` (after its checks).
-Frozen supplies the rest: assigning or deleting a field raises
-AttributeError, two records are equal when they have the same type and equal
-fields (hashed alike), the repr names every field, and pickling rebuilds a
-record through its constructor, so the checks run again.  Importing
-`dataclasses` (with `inspect`) took 10-13 ms of every CLI process.
+A record class is `class X(Frozen, namedtuple("X", "<fields>"))` with
+`__slots__ = ()`; a record that checks its arguments does so in `__new__`,
+which ends in `tuple.__new__(cls, (...))`.  The named tuple supplies the
+constructor, field access, the repr naming every field, immutability
+(assigning or deleting a field raises AttributeError) and pickling through
+`__new__`, so the checks run again.  Frozen adds the one thing a named tuple
+lacks: two records are equal only when they have the same type and equal
+fields, so a record never equals a plain tuple or a record of another class
+with the same fields.  Records remain tuples otherwise (indexing, unpacking,
+`len`, ordering, `json.dumps` as a list); no caller uses that.
 """
 
 from __future__ import annotations
 
-from operator import attrgetter
 
-# how a record's __init__ sets a field: Frozen.__setattr__ refuses every assignment
-set_field = object.__setattr__
-
-
-class Frozen:
+class Frozen(tuple):
     __slots__ = ()
 
-    def __init_subclass__(cls, **kwargs) -> None:
-        super().__init_subclass__(**kwargs)
-        # the fields in __slots__ order: the key of equality and hash
-        cls._values = staticmethod(attrgetter(*cls.__slots__))
-
-    def __setattr__(self, name: str, value) -> None:
-        raise AttributeError(f"cannot assign to field {name!r} of frozen {type(self).__name__}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"cannot delete field {name!r} of frozen {type(self).__name__}")
-
     def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self._values(self) == other._values(other)
+        # False, not NotImplemented: tuple's reflected __eq__ would ignore the type
+        return other.__class__ is self.__class__ and tuple.__eq__(self, other)
 
-    def __hash__(self) -> int:
-        return hash(self._values(self))
+    def __ne__(self, other) -> bool:
+        # tuple's own __ne__ ignores the type as well
+        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)
 
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{f}={getattr(self, f)!r}" for f in self.__slots__)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __reduce__(self):
-        return type(self), tuple(getattr(self, f) for f in self.__slots__)
+    __hash__ = tuple.__hash__

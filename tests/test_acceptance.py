@@ -168,7 +168,7 @@ def test_criterion_5_representative_independence():
         multi += 1
         params = derive(inst)
         forms = [evaluate_large(inst, chi1, chi2, params, x0=x) for x in sols]
-        if any(f.terms != forms[0].terms or f.is_zero() for f in forms):
+        if any(f.terms != forms[0].terms or not f.terms for f in forms):
             bad += 1
         checked += len(sols)
     ok = bad == 0 and multi >= 1000

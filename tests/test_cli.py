@@ -136,6 +136,19 @@ def test_check_refuses_empty_m_range(capsys):
     assert captured.err == "error: --m-min 5 exceeds --m-max 4\n"
 
 
+@pytest.mark.parametrize("argv", [
+    ["check", "--m-min", "3", "--m-max", "4", "--k-list", "1", "--samples", "20", "--jobs", "1"],
+    ["check", "--k-list", "1,2"],
+], ids=["sampled", "defaults"])
+def test_check_refuses_k_list_without_exhaustive(capsys, argv):
+    # sampled checks draw their own k, so a --k-list there would be ignored
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --k-list needs --exhaustive: sampled checks draw k themselves\n"
+
+
 @pytest.mark.parametrize("argv, flag, value, cap", [
     (["eval", "--m", "-1"], "--m", -1, 30),
     (["eval", "--m", "2", "--method", "closed"], "--m", 2, 30),

@@ -238,14 +238,14 @@ def test_normalize_same_parity_is_zero():
         assert norm.kind == "zero" and norm.zero_case == CASE_ZERO_PARITY
         cf = closed_form(SumInstance(5, a, b, 2), *chars(5, 1, 1, 1, 1))
         val = cf.value()
-        assert cf.case == CASE_ZERO_PARITY and val.is_zero()
+        assert cf.case == CASE_ZERO_PARITY and not any(val.coeffs)
 
 
 def test_normalize_imprimitive_chi2_is_zero():
     chi1, chi2 = chars(6, 1, 3, -1, 4)  # chi1 primitive, chi2 not
     norm = normalize(SumInstance(6, 2, 1, 1), chi1, chi2)
     assert norm.kind == "zero" and norm.zero_case == CASE_ZERO_IMPRIMITIVE
-    assert brute_force(SumInstance(6, 2, 1, 1), chi1, chi2).is_zero()
+    assert not any(brute_force(SumInstance(6, 2, 1, 1), chi1, chi2).coeffs)
 
 
 def test_normalize_swap_formula_and_value():
@@ -260,7 +260,7 @@ def test_normalize_swap_formula_and_value():
     cf = closed_form(inst, chi1, chi2)
     val = cf.value()
     assert val == brute_force(inst, chi1, chi2)
-    assert not val.is_zero()  # this one actually exercises the swapped pipeline
+    assert any(val.coeffs)  # this one actually exercises the swapped pipeline
 
 
 def test_normalize_reduction_scale_and_value():
@@ -313,8 +313,8 @@ def test_large_zero_when_power_condition_fails():
     chi1, chi2 = chars(7, 1, 32, 1, 1)  # c1 = 2^(m-2): cofactor even
     cf = closed_form(inst, chi1, chi2)
     val = cf.value()
-    assert cf.case == CASE_ZERO_CONDITION and val.is_zero()
-    assert brute_force(inst, chi1, chi2).is_zero()
+    assert cf.case == CASE_ZERO_CONDITION and not any(val.coeffs)
+    assert not any(brute_force(inst, chi1, chi2).coeffs)
 
 
 def test_large_zero_when_sign_condition_fails():
@@ -323,7 +323,7 @@ def test_large_zero_when_sign_condition_fails():
     cf = closed_form(inst, chi1, chi2)
     val = cf.value()
     assert cf.case == CASE_ZERO_CONDITION
-    assert brute_force(inst, chi1, chi2).is_zero()
+    assert not any(brute_force(inst, chi1, chi2).coeffs)
 
 
 def test_large_odd_carries_sqrt2_and_magnitude():
@@ -396,8 +396,8 @@ def test_edge_t2_rows():
     # any other chi1 dies
     cf2 = closed_form(inst, Character(6, -1, 16), chi2)
     val2 = cf2.value()
-    assert cf2.case == CASE_ZERO_CONDITION and val2.is_zero()
-    assert brute_force(inst, Character(6, -1, 16), chi2).is_zero()
+    assert cf2.case == CASE_ZERO_CONDITION and not any(val2.coeffs)
+    assert not any(brute_force(inst, Character(6, -1, 16), chi2).coeffs)
     # odd k wants the mod-4 sign character
     inst = SumInstance(5, 8, 3, 1)
     cf3 = closed_form(inst, sign_mod4(5), Character(5, 1, 3))
@@ -406,7 +406,7 @@ def test_edge_t2_rows():
     assert val3 == brute_force(inst, sign_mod4(5), Character(5, 1, 3))
     cf4 = closed_form(inst, principal(5), Character(5, 1, 3))
     val4 = cf4.value()
-    assert cf4.case == CASE_ZERO_CONDITION and val4.is_zero()
+    assert cf4.case == CASE_ZERO_CONDITION and not any(val4.coeffs)
 
 
 def test_edge_t3_two_term_row():
@@ -439,8 +439,8 @@ def test_edge_t3_principal_chi1_dies():
     for chi1 in (principal(m), sign_mod4(m)):
         cf = closed_form(inst, chi1, chi2)
         val = cf.value()
-        assert val.is_zero()
-        assert brute_force(inst, chi1, chi2).is_zero()
+        assert not any(val.coeffs)
+        assert not any(brute_force(inst, chi1, chi2).coeffs)
 
 
 def test_midrange_rows_and_exclusivity():
@@ -492,7 +492,7 @@ def test_tiny_rows():
     assert val == brute_force(inst, principal(4), chi2)
     cf2 = closed_form(inst, Character(4, -1, 4), chi2)
     val2 = cf2.value()
-    assert cf2.case == CASE_ZERO_CONDITION and val2.is_zero()
+    assert cf2.case == CASE_ZERO_CONDITION and not any(val2.coeffs)
 
 
 def test_tiny_zero_coefficient():
@@ -529,7 +529,7 @@ def test_tiny_and_edge_t2_decisions_match_oracle_for_every_chi1(m):
                 for chi2 in chis2:
                     cf = closed_form(inst, chi1, chi2)
                     assert cf.value() == brute_force(inst, chi1, chi2), (inst, chi1, chi2)
-                    alive += not cf.is_zero()
+                    alive += bool(cf.terms)
         # exactly one chi1 survives: principal, or the mod-4 sign at EdgeT2 with odd k
         assert alive == len(chis2)
 
@@ -560,7 +560,7 @@ def test_terminal_zeros_are_shared_frozen_constants(m):
         assert cf == ClosedForm(case, r, (), None, None, None, None, 0)
         assert closed_form(inst, chi1, chi2) is cf
         if m <= 12:
-            assert brute_force(inst, chi1, chi2).is_zero()
+            assert not any(brute_force(inst, chi1, chi2).coeffs)
         with pytest.raises(AttributeError):
             cf.terms = ((0, 1),)
         with pytest.raises(AttributeError):
@@ -599,7 +599,7 @@ def test_reduced_zero_keeps_its_scale(m):
     shared = closed_form(norm.inst, norm.chi1, norm.chi2)
     assert shared.scale_log2 == 0 and cf is not shared
     if m <= 9:
-        assert brute_force(inst, chi1, chi2).is_zero()
+        assert not any(brute_force(inst, chi1, chi2).coeffs)
 
 
 def test_closed_digest_is_pinned():
@@ -650,7 +650,7 @@ def test_collapse_takes_one_discrete_log_per_surviving_witness(
     inst, chi1, chi2 = SumInstance(m, A, B, k), Character(m, *chi1), Character(m, *chi2)
     cf = closed_form(inst, chi1, chi2)
     assert (cf.case, len(calls)) == (case, dlogs)
-    assert cf.is_zero() == (case == CASE_ZERO_CONDITION)
+    assert (not cf.terms) == (case == CASE_ZERO_CONDITION)
     assert cf.value() == brute_force(inst, chi1, chi2)
 
 

@@ -1,9 +1,10 @@
 """The package's value records, without dataclasses: the frozen records'
-equality, hashing, immutability, repr, pickling and constructor checks, and
-the check report's equality."""
+equality (by type, also against plain tuples), hashing, immutability, repr,
+pickling and constructor checks, and the check report's equality."""
 
 import pickle
 import re
+from collections import namedtuple
 
 import pytest
 
@@ -19,7 +20,7 @@ from charsum.evaluator import (
     derive,
     normalize,
 )
-from charsum.frozen import Frozen, set_field
+from charsum.frozen import Frozen
 from charsum.sweep import CheckReport
 
 
@@ -38,7 +39,7 @@ def _records():
 
 
 def _fields(rec):
-    return [getattr(rec, f) for f in rec.__slots__]
+    return [getattr(rec, f) for f in rec._fields]
 
 
 def test_every_record_class_is_covered():
@@ -58,17 +59,15 @@ def test_records_compare_and_hash_by_value(index):
 
 
 def test_equality_needs_the_same_type():
-    class Lookalike(Frozen):
-        __slots__ = ("m", "s", "c")
+    class Lookalike(Frozen, namedtuple("Lookalike", "m s c")):
+        __slots__ = ()
 
-        def __init__(self, m, s, c):
-            set_field(self, "m", m)
-            set_field(self, "s", s)
-            set_field(self, "c", c)
-
-    chi = Character(5, 1, 3)
-    assert chi != Lookalike(5, 1, 3)
-    assert chi != (5, 1, 3)
+    chi, look = Character(5, 1, 3), Lookalike(5, 1, 3)
+    assert chi != look and look != chi
+    assert not (chi == look) and not (look == chi)
+    assert chi != (5, 1, 3) and (5, 1, 3) != chi
+    assert not (chi == (5, 1, 3)) and not ((5, 1, 3) == chi)
+    assert len({chi, (5, 1, 3)}) == 2 and len({chi, look}) == 2
     assert chi != Character(5, -1, 3)
     assert SumInstance(5, 2, 1, 1) != SumInstance(5, 2, 1, 3)
     assert len({chi, Character(5, 1, 3), Character(5, 1, 1)}) == 2
@@ -78,7 +77,7 @@ def test_equality_needs_the_same_type():
 def test_records_are_immutable(index):
     rec = _records()[index]
     before = _fields(rec)
-    for name in rec.__slots__:
+    for name in rec._fields:
         with pytest.raises(AttributeError):
             setattr(rec, name, 0)
         with pytest.raises(AttributeError):
@@ -97,7 +96,7 @@ def test_repr_names_the_fields():
     for rec in _records():
         text = repr(rec)
         assert text.startswith(type(rec).__name__ + "(")
-        assert all(f"{f}=" in text for f in rec.__slots__)
+        assert all(f"{f}=" in text for f in rec._fields)
 
 
 @pytest.mark.parametrize("build, exc, message", [
@@ -114,6 +113,13 @@ def test_repr_names_the_fields():
 def test_constructor_checks_keep_their_messages(build, exc, message):
     with pytest.raises(exc, match=f"^{re.escape(message)}$"):
         build()
+
+
+def test_unpickling_reruns_the_checks():
+    # tuple.__new__ skips the checks; loading the pickle goes through __new__
+    bad = pickle.dumps(tuple.__new__(Character, (2, 1, 1)))
+    with pytest.raises(ValueError, match="^modulus exponent must be >= 3, got 2$"):
+        pickle.loads(bad)
 
 
 

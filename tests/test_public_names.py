@@ -1,9 +1,11 @@
 """The package ships only what runs: every public top-level name in
-src/charsum has a caller in the package, the benchmark or the scripts.
-References from the tests do not count; test-only helpers live in the tests
-(ringref.py holds the dense reference algebra)."""
+src/charsum, and every public method of a package class, has a caller in the
+package, the benchmark or the scripts.  References from the tests do not
+count; test-only helpers live in the tests (ringref.py holds the dense
+reference algebra)."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,37 +29,54 @@ def _defined(stmt: ast.stmt) -> list[str]:
     return []
 
 
-def _referenced(stmt: ast.stmt) -> set[str]:
-    names: set[str] = set()
-    for node in ast.walk(stmt):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.ImportFrom):
-            names.update(alias.name for alias in node.names)
+def _public_methods(stmt: ast.stmt) -> list[ast.stmt]:
+    if not isinstance(stmt, ast.ClassDef):
+        return []
+    return [
+        f for f in stmt.body
+        if isinstance(f, (ast.FunctionDef, ast.AsyncFunctionDef)) and not f.name.startswith("_")
+    ]
+
+
+def _referenced(node: ast.AST) -> Counter:
+    """How often each name occurs inside node as a name, attribute or import."""
+    names: Counter = Counter()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and isinstance(sub.ctx, ast.Load):
+            names[sub.id] += 1
+        elif isinstance(sub, ast.Attribute):
+            names[sub.attr] += 1
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(alias.name for alias in sub.names)
     return names
 
 
-def unreferenced_public_names() -> list[str]:
-    """module.name for each public top-level definition of the package that
-    no other top-level statement of the scanned files refers to by name,
-    attribute or import."""
-    refs = []  # (file, statement index, names it refers to)
-    defs = []  # (file, statement index, module.name)
+def public_definitions() -> list[tuple[str, str, ast.AST]]:
+    """(qualified name, name, defining node) for each public top-level
+    definition of the package (module.name) and each public method of a
+    package class (module.Class.method)."""
+    defs = []
     for path in _scanned_files():
-        body = ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body
-        for i, stmt in enumerate(body):
-            refs.append((path, i, _referenced(stmt)))
-            if path.parent == PACKAGE:
-                public = [n for n in _defined(stmt) if not n.startswith("_")]
-                defs += [(path, i, f"{path.stem}.{n}") for n in public]
+        if path.parent != PACKAGE:
+            continue
+        for stmt in ast.parse(path.read_text(encoding="utf-8"), filename=str(path)).body:
+            public = [n for n in _defined(stmt) if not n.startswith("_")]
+            defs += [(f"{path.stem}.{n}", n, stmt) for n in public]
+            defs += [
+                (f"{path.stem}.{stmt.name}.{f.name}", f.name, f) for f in _public_methods(stmt)
+            ]
+    return defs
+
+
+def unreferenced_public_names() -> list[str]:
+    """The qualified name of each public definition that nothing in the
+    scanned files outside the definition itself refers to by name, attribute
+    or import."""
+    total: Counter = Counter()
+    for path in _scanned_files():
+        total += _referenced(ast.parse(path.read_text(encoding="utf-8"), filename=str(path)))
     return [
-        qual
-        for path, i, qual in defs
-        if not any(
-            qual.split(".")[1] in names for p, j, names in refs if (p, j) != (path, i)
-        )
+        qual for qual, name, node in public_definitions() if total[name] == _referenced(node)[name]
     ]
 
 
@@ -73,3 +92,5 @@ def test_scan_sees_the_package_and_its_callers():
     assert ROOT / "bench" / "make_reference.py" in files
     assert ROOT / "scripts" / "oracle_digest.py" in files
     assert not any("tests" in p.relative_to(ROOT).parts for p in files)
+    quals = {qual for qual, _, _ in public_definitions()}
+    assert {"evaluator.closed_form", "evaluator.ClosedForm.value", "sweep.CheckReport.ok"} <= quals
