@@ -24,8 +24,7 @@ import sys
 def digest(count: int) -> str:
     """Hex SHA-256 over the oracle's outputs on the first `count` instances,
     from the charsum package already importable."""
-    from charsum.characters import Character
-    from charsum.evaluator import SumInstance
+    from charsum.characters import Character, SumInstance
     from charsum.oracle import brute_force, half_sum
 
     rng = random.Random(20261018)

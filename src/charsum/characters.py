@@ -5,14 +5,36 @@ order 2^(m-2), so a character is the data (m, s, c): s = chi(-1) in {+1,-1}
 and chi(5) = e^(2*pi*i*c/2^(m-2)) with 1 <= c <= 2^(m-2).  Characters vanish
 on even arguments by convention, which is what makes them drop terms out of
 the sums downstream.
+
+The other input record lives here too: `SumInstance`, the (m, A, B, k) of one
+sum.  Both the closed form and the summation oracle take it from this module,
+so neither has to import the other.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
 
+from .errors import MAX_M, WidthCapError
 from .frozen import Frozen
 from .ring2adic import dlog5, v2
+
+
+class SumInstance(Frozen, namedtuple("SumInstance", "m A B k")):
+    """Parameters (m, A, B, k) naming one concrete sum."""
+
+    __slots__ = ()
+
+    def __new__(cls, m: int, A: int, B: int, k: int) -> SumInstance:
+        if m < 3:
+            raise ValueError(f"modulus exponent must be >= 3, got {m}")
+        if m > MAX_M:
+            raise WidthCapError(f"modulus exponent {m} exceeds cap {MAX_M}")
+        if not 0 <= A < 1 << m or not 0 <= B < 1 << m:
+            raise ValueError("A and B must be residues in [0, 2^m)")
+        if k < 1:
+            raise ValueError(f"k must be a positive integer, got {k}")
+        return tuple.__new__(cls, (m, A, B, k))
 
 
 class Character(Frozen, namedtuple("Character", "m s c")):

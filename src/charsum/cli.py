@@ -56,6 +56,14 @@ def _check_terms(terms: float) -> None:
         )
 
 
+def _check_list(flag: str, values: tuple[int, ...], ok, allowed: str) -> None:
+    """Refuse (exit 2) a list value that fails ok, naming the flag and the
+    allowed values, before a sweep compares a record or opens its output."""
+    for v in values:
+        if not ok(v):
+            raise ValueError(f"{flag} value {v} is outside {allowed}")
+
+
 def _instance(args, cap: int = MAX_M) -> tuple[SumInstance, Character, Character]:
     _check_m("--m", args.m, cap)
     mod = 1 << args.m
@@ -117,6 +125,7 @@ def cmd_check(args) -> int:
 
     if args.k_list is not None and not args.exhaustive:
         raise ValueError("--k-list needs --exhaustive: sampled checks draw k themselves")
+    _check_list("--k-list", args.k_list or (), lambda k: k >= 1, "[1, inf)")
     if args.m_min > args.m_max:
         raise ValueError(f"--m-min {args.m_min} exceeds --m-max {args.m_max}")
     _check_m("--m-min", args.m_min, MAX_ORACLE_M)
@@ -180,6 +189,14 @@ def cmd_grid(args) -> int:
         s1_list=args.s1_list, c2_list=args.c2_list, s2_list=args.s2_list,
     )
     ks = args.k_list or ()
+    mod, cmax = 1 << args.m, 1 << (args.m - 2)
+    for flag, key in (("--A-list", "a_list"), ("--B-list", "b_list")):
+        _check_list(flag, lists[key], lambda v: 0 <= v < mod, f"[0, {mod - 1}]")
+    for flag, key in (("--c1-list", "c1_list"), ("--c2-list", "c2_list")):
+        _check_list(flag, lists[key], lambda c: 1 <= c <= cmax, f"[1, {cmax}]")
+    for flag, key in (("--s1-list", "s1_list"), ("--s2-list", "s2_list")):
+        _check_list(flag, lists[key], lambda s: s in (1, -1), "{1, -1}")
+    _check_list("--k-list", ks, lambda k: k >= 1, "[1, inf)")
     _check_terms(exhaustive_count(args.m, ks, **lists) << (args.m - 1))
     try:
         with open(args.out, "w", encoding="utf-8") as fh:

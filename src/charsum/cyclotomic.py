@@ -71,6 +71,11 @@ def abs2_terms(r: int, terms) -> dict[int, int]:
     return {e: x for e, x in acc.items() if x}
 
 
+def ring_exponent_for(m: int) -> int:
+    """Ring holding both the character values mod 2^m and the eighth roots of unity."""
+    return max(m - 2, 3)
+
+
 def zero(r: int) -> CycInt:
     return CycInt(r, (0,) * (1 << (r - 1)))
 

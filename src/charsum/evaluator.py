@@ -27,6 +27,7 @@ from collections import namedtuple
 
 from .characters import (
     Character,
+    SumInstance,
     char_conj,
     char_exp,
     char_mul,
@@ -34,8 +35,8 @@ from .characters import (
     conductor,
     induced,
 )
-from .cyclotomic import CycInt, abs2_terms, approx_terms, terms_json
-from .errors import MAX_M, WidthCapError
+from .cyclotomic import CycInt, abs2_terms, approx_terms, ring_exponent_for, terms_json
+from .errors import MAX_M
 from .frozen import Frozen
 from .ring2adic import dlog5, five_pow_cofactor, jacobi2
 
@@ -51,23 +52,6 @@ REGIME_EDGE_T2 = "EdgeT2"
 REGIME_EDGE_T3 = "EdgeT3"
 REGIME_MIDRANGE = "MidRange"
 REGIME_LARGE = "Large"
-
-
-class SumInstance(Frozen, namedtuple("SumInstance", "m A B k")):
-    """Parameters (m, A, B, k) naming one concrete sum."""
-
-    __slots__ = ()
-
-    def __new__(cls, m: int, A: int, B: int, k: int) -> SumInstance:
-        if m < 3:
-            raise ValueError(f"modulus exponent must be >= 3, got {m}")
-        if m > MAX_M:
-            raise WidthCapError(f"modulus exponent {m} exceeds cap {MAX_M}")
-        if not 0 <= A < 1 << m or not 0 <= B < 1 << m:
-            raise ValueError("A and B must be residues in [0, 2^m)")
-        if k < 1:
-            raise ValueError(f"k must be a positive integer, got {k}")
-        return tuple.__new__(cls, (m, A, B, k))
 
 
 class DerivedParams(Frozen, namedtuple("DerivedParams", "n A1 t k1 N M_exp regime")):
@@ -132,11 +116,6 @@ class ClosedForm(Frozen, namedtuple(
             "value": terms_json(self.ring_exponent, self.terms),
             "approx": {"re": re, "im": im},
         }
-
-
-def ring_exponent_for(m: int) -> int:
-    """Ring holding both the character values and the eighth roots of unity."""
-    return max(m - 2, 3)
 
 
 # A result with no terms and scale 0 is fixed by (case, ring exponent): one

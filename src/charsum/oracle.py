@@ -1,5 +1,9 @@
 """Ground truth by direct summation, exact in the cyclotomic ring.
 
+The oracle imports nothing from the evaluator it checks: its input records
+come from `characters`, its ring from `cyclotomic`, and it computes its own
+discrete logs (the split log below), never `dlog5` or `char_exp`.
+
 Every odd x mod 2^m is +-5^gamma for gamma = 0..2^(m-2)-1.  For odd k the
 x = -5^gamma half of the sum is the x = +5^gamma half with -A in place of A,
 times chi1(-1); for even k the two halves feed the same inner argument.  So
@@ -38,10 +42,9 @@ from functools import lru_cache
 from itertools import islice, repeat
 from operator import mul, sub
 
-from .characters import Character
-from .cyclotomic import CycInt, zero
+from .characters import Character, SumInstance
+from .cyclotomic import CycInt, ring_exponent_for, zero
 from .errors import MAX_ORACLE_M, WidthCapError
-from .evaluator import SumInstance, ring_exponent_for
 
 
 @lru_cache(maxsize=None)  # keyed by m <= MAX_ORACLE_M, 2^(h-1) entries each

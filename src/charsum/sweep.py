@@ -8,7 +8,11 @@ lazily, one block of _BLOCK at a time: `run_check` adds up a report (and
 checks Large-regime results' squared magnitude, a sparse product of the
 matched terms, against the regime formula), `write_grid` writes CSV rows.
 Sampling is seeded and single-streamed, so reports are reproducible and
-independent of the worker count.
+independent of the worker count.  `sample_records` rotates through aimed case
+shapes; each aim makes a fixed sequence of draws, and the MidRange and Large
+aims draw their shared root shape (A, k, c1 = 2^(n+t) * odd, an odd c2) in
+one place, `_root_shape`.  The benchmark's pinned inputs come from this
+sampler, so a change to it must keep every draw and its order.
 
 Each block goes through `_pool_map`: with `jobs` processes, the calling
 process computes every jobs-th chunk itself and jobs - 1 child processes
@@ -28,15 +32,9 @@ from collections import Counter
 from collections.abc import Iterable, Iterator
 from itertools import islice
 
-from .characters import Character
+from .characters import Character, SumInstance
 from .cyclotomic import abs2_terms, matches_dense
-from .evaluator import (
-    CASE_LARGE_EVEN,
-    CASE_LARGE_ODD,
-    SumInstance,
-    characteristic_value,
-    closed_form,
-)
+from .evaluator import CASE_LARGE_EVEN, CASE_LARGE_ODD, characteristic_value, closed_form
 from .oracle import brute_force
 from .ring2adic import v2
 
@@ -54,13 +52,7 @@ class CheckReport:
 
     Unlike the frozen records it is a plain object: `run_check` fills it in,
     and callers may attach more (the acceptance tests attach their wall time).
-    Reports are equal when their eight fields are.
     """
-
-    _FIELDS = (
-        "instances_checked", "mismatches", "tag_counts", "magnitude_violations",
-        "closed_seconds", "brute_seconds", "seed", "jobs",
-    )
 
     def __init__(self, seed: int | None, jobs: int) -> None:
         self.instances_checked = 0
@@ -71,11 +63,6 @@ class CheckReport:
         self.brute_seconds = 0.0
         self.seed = seed
         self.jobs = jobs
-
-    def __eq__(self, other) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return all(getattr(self, f) == getattr(other, f) for f in self._FIELDS)
 
     def ok(self) -> bool:
         return not self.mismatches and not self.magnitude_violations
@@ -278,7 +265,7 @@ def _rand_char(rng: random.Random, m: int, parity: str = "any") -> tuple[int, in
     cmax = 1 << (m - 2)
     if parity == "odd":
         c = rng.randrange(1, cmax + 1, 2)
-    elif parity == "even" and cmax >= 2:
+    elif parity == "even":
         c = rng.randrange(2, cmax + 1, 2)
     else:
         c = rng.randint(1, cmax)
@@ -292,6 +279,17 @@ def _even_a(rng: random.Random, m: int, n: int) -> int:
     return (1 << n) * rng.randrange(1, 1 << (m - n), 2)
 
 
+def _root_shape(rng: random.Random, m: int, n: int, t: int) -> tuple[int, int, int, int, int]:
+    """(A, k, c1, c2, s2) with v2(A) = n, v2(k) = t, c1 = 2^(n+t) * odd below
+    2^(m-2) and an odd c2: the shape whose characteristic congruence MidRange
+    and Large solve.  Needs n >= 1 and n + t <= m - 3."""
+    a = _even_a(rng, m, n)
+    k = _rand_k(rng, t)
+    c1 = (1 << (n + t)) * rng.randrange(1, 1 << (m - 2 - n - t), 2)
+    c2, s2 = _rand_char(rng, m, "odd")
+    return a, k, c1, c2, s2
+
+
 def _solved_b(
     rng: random.Random, m: int, a: int, k: int, c1: int, c2: int, x0: int, width: int
 ) -> int:
@@ -302,9 +300,7 @@ def _solved_b(
     coef_term = (cv - c1) % (1 << width)  # coefficient * x0^k
     q = coef_term >> (n + t)
     c3 = c1 >> (n + t)
-    w2 = width - n - t
-    if w2 < 1:
-        return rng.randrange(1, 1 << m, 2)
+    w2 = width - n - t  # >= 2 for every caller's shape
     b = (-q * pow(c3, -1, 1 << w2)) % (1 << w2)
     b += rng.randrange(0, 1 << (m - w2)) << w2
     return b
@@ -322,20 +318,10 @@ def _aimed_record(rng: random.Random, m: int, aim: str) -> Record | None:
         c2, s2 = _rand_char(rng, m)
         return (m, a, b, rng.randint(1, 24), c1, s1, c2, s2)
 
-    if aim == "ZeroImprimitive":
-        c1, s1 = _rand_char(rng, m, "odd")
+    if aim in ("ZeroImprimitive", "Reduced"):
+        # an imprimitive chi2 zeroes a primitive chi1's sum; with an imprimitive chi1 it reduces
+        c1, s1 = _rand_char(rng, m, "even" if aim == "Reduced" else "odd")
         c2, s2 = _rand_char(rng, m, "even")
-        if c2 % 2:
-            return None
-        a = _even_a(rng, m, rng.randint(1, m - 1))
-        b = rng.randrange(1, mod, 2)
-        return (m, a, b, rng.randint(1, 24), c1, s1, c2, s2)
-
-    if aim == "Reduced":
-        c1, s1 = _rand_char(rng, m, "even")
-        c2, s2 = _rand_char(rng, m, "even")
-        if c1 % 2 or c2 % 2:
-            return None
         a = _even_a(rng, m, rng.randint(1, m - 1))
         b = rng.randrange(1, mod, 2)
         return (m, a, b, rng.randint(1, 24), c1, s1, c2, s2)
@@ -379,8 +365,6 @@ def _aimed_record(rng: random.Random, m: int, aim: str) -> Record | None:
     if aim == "EdgeT2":
         t = rng.randint(0, max(0, m - 3))
         n = m - t - 2
-        if n < 1:
-            return None
         a = _even_a(rng, m, n)
         k = _rand_k(rng, t)
         s1 = 1 if k % 2 == 0 else -1  # principal for even k, mod-4 sign for odd
@@ -403,57 +387,28 @@ def _aimed_record(rng: random.Random, m: int, aim: str) -> Record | None:
         if not choices:
             return None
         t, d = rng.choice(choices)
-        n = m - d
-        a = _even_a(rng, m, n)
-        k = _rand_k(rng, t)
-        if n + t > m - 2:
-            return None
-        c3 = rng.randrange(1, max(1 << (m - 2 - n - t), 2), 2)
-        c1 = (1 << (n + t)) * c3
-        if c1 > cmax:
-            return None
-        c2, s2 = _rand_char(rng, m, "odd")
+        a, k, c1, c2, s2 = _root_shape(rng, m, m - d, t)
         x0 = (1 << (m - 2)) - 1 if k % 2 and rng.random() < 0.5 else 1
         b = _solved_b(rng, m, a, k, c1, c2, x0, m - 2)
         s1 = 1 if k % 2 == 0 else rng.choice((1, -1))
         return (m, a, b, k, c1, s1, c2, s2)
 
     if aim in ("LargeEven", "LargeOdd"):
-        want_odd = aim == "LargeOdd"
-        lo = 5 if want_odd else 6
-        ds = [d for d in range(lo, m) if d % 2 == (1 if want_odd else 0) and d > 4]
+        ds = range(5 if aim == "LargeOdd" else 6, m, 2)
         if not ds:
             return None
-        d = rng.choice(ds)
-        n = m - d
-        a = _even_a(rng, m, n)
-        k = _rand_k(rng, 0)  # odd k: the characteristic congruence always solves
-        if n > m - 2:
-            return None
-        c3 = rng.randrange(1, max(1 << (m - 2 - n), 2), 2)
-        c1 = (1 << n) * c3
-        if c1 > cmax:
-            return None
-        c2, s2 = _rand_char(rng, m, "odd")
+        # odd k: the characteristic congruence always solves
+        a, k, c1, c2, s2 = _root_shape(rng, m, m - rng.choice(ds), 0)
         s1 = rng.choice((1, -1))
         return (m, a, rng.randrange(1, mod, 2), k, c1, s1, c2, s2)
 
     if aim == "LargeKeven":
         t = rng.choice((1, 2))
-        ds = [d for d in range(2 * t + 5, m)]
+        ds = range(2 * t + 5, m)
         if not ds:
             return None
-        d = rng.choice(ds)
-        n = m - d
-        if n < 1 or n + t > m - 2:
-            return None
-        a = _even_a(rng, m, n)
-        k = _rand_k(rng, t)
-        c3 = rng.randrange(1, max(1 << (m - 2 - n - t), 2), 2)
-        c1 = (1 << (n + t)) * c3
-        if c1 > cmax:
-            return None
-        c2, s2 = _rand_char(rng, m, "odd")
+        n = m - rng.choice(ds)
+        a, k, c1, c2, s2 = _root_shape(rng, m, n, t)
         m_exp = ((m + n) >> 1) + t
         x0 = rng.randrange(1, 1 << m_exp, 2)
         b = _solved_b(rng, m, a, k, c1, c2, x0, m_exp)

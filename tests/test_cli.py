@@ -195,6 +195,32 @@ def test_non_integer_in_int_list_exits_2(capsys, argv, flag, text):
     )
 
 
+@pytest.mark.parametrize("argv, flag, value, allowed", [
+    (["grid", "--m", "5", "--c1-list", "1,9"], "--c1-list", 9, "[1, 8]"),
+    (["grid", "--m", "5", "--c2-list", "0"], "--c2-list", 0, "[1, 8]"),
+    (["grid", "--m", "5", "--A-list", "40"], "--A-list", 40, "[0, 31]"),
+    (["grid", "--m", "5", "--B-list", "1,-1"], "--B-list", -1, "[0, 31]"),
+    (["grid", "--m", "5", "--s1-list", "1,0"], "--s1-list", 0, "{1, -1}"),
+    (["grid", "--m", "5", "--s2-list", "2"], "--s2-list", 2, "{1, -1}"),
+    (["grid", "--m", "5", "--k-list", "0"], "--k-list", 0, "[1, inf)"),
+    (["check", "--exhaustive", "--m-min", "3", "--m-max", "3", "--k-list", "1,0"],
+     "--k-list", 0, "[1, inf)"),
+], ids=["grid-c1", "grid-c2", "grid-A", "grid-B", "grid-s1", "grid-s2", "grid-k", "check-k"])
+def test_out_of_range_list_value_exits_2_before_any_work(
+    capsys, monkeypatch, tmp_path, argv, flag, value, allowed
+):
+    monkeypatch.setattr(charsum.sweep, "_compare", _never_compare)
+    out_path = tmp_path / "grid.csv"
+    if argv[0] == "grid":
+        argv = [*argv, "--out", str(out_path)]
+    code = main(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {flag} value {value} is outside {allowed}\n"
+    assert not out_path.exists()
+
+
 @pytest.mark.parametrize("argv", [
     ["grid", "--m", "27", "--out", os.devnull],
     ["check", "--exhaustive", "--m-min", "27", "--m-max", "27"],

@@ -1,6 +1,6 @@
 """The package's value records, without dataclasses: the frozen records'
 equality (by type, also against plain tuples), hashing, immutability, repr,
-pickling and constructor checks, and the check report's equality."""
+pickling and constructor checks."""
 
 import pickle
 import re
@@ -21,7 +21,6 @@ from charsum.evaluator import (
     normalize,
 )
 from charsum.frozen import Frozen
-from charsum.sweep import CheckReport
 
 
 def _records():
@@ -120,15 +119,3 @@ def test_unpickling_reruns_the_checks():
     bad = pickle.dumps(tuple.__new__(Character, (2, 1, 1)))
     with pytest.raises(ValueError, match="^modulus exponent must be >= 3, got 2$"):
         pickle.loads(bad)
-
-
-
-def test_check_reports_compare_by_their_fields():
-    a, b = CheckReport(7, 1), CheckReport(7, 1)
-    assert a == b and a is not b
-    assert a != CheckReport(7, 2) and a != CheckReport(8, 1)
-    b.tag_counts["ZeroParity"] += 1
-    assert a != b
-    a.tag_counts["ZeroParity"] += 1
-    a.elapsed = 3.0  # callers may attach more
-    assert a == b

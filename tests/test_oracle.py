@@ -1,6 +1,9 @@
 import functools
 import importlib.util
+import os
 import random
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -8,11 +11,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from charsum.characters import Character, char_exp
-from charsum.cyclotomic import CycInt, zero
+import charsum
+from charsum.characters import Character, SumInstance, char_exp
+from charsum.cyclotomic import CycInt, ring_exponent_for, zero
 from charsum.errors import WidthCapError
-from charsum.evaluator import SumInstance, closed_form, ring_exponent_for
+from charsum.evaluator import closed_form
 from charsum.oracle import _low_logs, brute_force, half_sum
+from charsum.sweep import sample_records
 from ringref import add, eval_char, from_int, mul, principal, scalar_mul, sign_mod4
 
 
@@ -308,3 +313,46 @@ def test_oracle_digest_is_pinned():
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     assert script.digest(2000) == "e99e0fad28a3b6bd8e4933669c3bbd03cbf86cd5eaa70075f193dc980aeaa514"
+
+
+# ---------------------------------------------------------------------------
+# independence from the closed form
+
+
+def test_importing_the_oracle_loads_no_evaluator_code():
+    script = (
+        "import sys, charsum.oracle; "
+        "print(sorted(m for m in sys.modules if m.startswith('charsum')))"
+    )
+    src = os.path.dirname(os.path.dirname(charsum.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "charsum.evaluator" not in proc.stdout, proc.stdout
+
+
+def test_oracle_never_calls_the_closed_forms_logs(monkeypatch):
+    # replace dlog5 and char_exp under every name a loaded charsum module holds
+    calls = Counter()
+
+    def counting(name, func):
+        def counted(*args):
+            calls[name] += 1
+            return func(*args)
+        return counted
+
+    for module in [m for n, m in sys.modules.items() if n.startswith("charsum.")]:
+        for name in ("dlog5", "char_exp"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, counting(name, getattr(module, name)))
+    for m, a, b, k, c1, s1, c2, s2 in sample_records(17, 3, 14, 1300):
+        inst, chi1, chi2 = SumInstance(m, a, b, k), Character(m, s1, c1), Character(m, s2, c2)
+        brute_force(inst, chi1, chi2)
+        half_sum(inst, chi1, chi2, 1)
+        half_sum(inst, chi1, chi2, -1)
+    assert not calls
+    # the counters are live: the closed form takes its logs through them
+    closed_form(SumInstance(7, 2, 1, 1), Character(7, 1, 2), Character(7, 1, 1))
+    assert calls["dlog5"] or calls["char_exp"]
