@@ -29,11 +29,14 @@ multiplier pm and an offset q.  Along a row, 5^(gamma k) carries the factor
 v^j with v = 5^(k 2^(h-2)) = 1 (mod 2^h).  Since 2h >= m, (v - 1)^2 = 0
 (mod 2^m), so v^j = 1 + j*(v - 1) (mod 2^m) exactly: the same fact as the
 split log's, that 1 + 2^h*Z/2^m is cyclic with a linear log.  chi1's
-exponent also grows by a fixed step per j, so a row's 2^(m-h) term
-exponents form one arithmetic progression.  Reduced mod 2^r it repeats with
-a period that is a power of two, so the row is one `range` over its first
-period, each exponent counted once per period: every term's exponent is
-still enumerated, and no row is summed in closed form.
+exponent also grows by a fixed step per j, so a row's n = 2^(m-h) term
+exponents form one arithmetic progression.  Reduced mod 2^r its step is a
+multiple of 2^(h - m + r), so the progression runs through the whole residue
+class of its start modulo lsb = step & -step (2^r for a zero step), each
+member n*lsb/2^r times.  Each row adds its counts to its residue class in one
+tally, the full 2^r-slot count vector is built from the tallies, and all of
+it is folded: no row is dropped or summed in closed form, even where its
+counts cancel in the fold.
 """
 
 from __future__ import annotations
@@ -102,12 +105,17 @@ def _sum(
     and 2h >= m, (v - 1)^2 = 0 (mod 2^m), so v^j = 1 + j*(v - 1) (mod 2^m)
     exactly, and the exponents run start + j*step with
         start = (a*pm + q) mod 2^m,  step = (a*(v - 1)*pm + (c1 << h)) mod 2^m,
-    both multiples of 2^drop.  Mod 2^r these n = 2^(m-h) exponents repeat
-    every per = min(n, 2^r / (step & -step)) terms (per = 1 if step = 0,
-    which is a step of 2^r), and per divides n, both being powers of two.
-    So each row is one `range` over its first per exponents, each counted
-    n / per times: the count vector is the term-by-term one, and no row is
-    summed in closed form.
+    both multiples of 2^drop; step is also one of 2^h, as v = 1 (mod 2^h).
+    Shifted right by drop, let lsb = step & -step (2^r for a zero step), a
+    power of two >= 2^(h - drop).  Mod 2^r the n = 2^(m-h) exponents repeat
+    every per = 2^r / lsb <= n terms, and per divides n, so the row puts
+    n * lsb / 2^r counts on each exponent = start (mod lsb) and none
+    elsewhere.  The row's only record is one tally under lsb | (start mod
+    lsb).  Taking the classes by increasing lsb, the count vector is widened
+    by repeating it (slot s of width w lands on every s + i*w) up to each
+    class's lsb, and the class's counts go on its slot start mod lsb.  The
+    result is the term-by-term count vector, all 2^r slots of it, and it is
+    folded whole: no row is dropped or summed in closed form.
     """
     m = inst.m
     r = ring_exponent_for(m)
@@ -127,8 +135,7 @@ def _sum(
     n = 1 << (m - h)  # terms per row
     e1 = c1 << h  # chi1's exponent step from one j to the next
     size = 1 << r
-    rmask = size - 1
-    cnt = [0] * size
+    rows: dict[int, int] = {}  # lsb | (start mod lsb) -> number of such rows
     for a, base in halves:
         off = (base << drop) - cu
         da = a * (v - 1)
@@ -140,11 +147,16 @@ def _sum(
             q = b * mcu + off + ((c1 * g + c2 * l) << 2) + (turn2 if negative else 0)
             start = ((a * pm + q) & mmask) >> drop
             step = ((da * pm + e1) & mmask) >> drop or size  # 0 = 2^r (mod 2^r)
-            per = min(n, size // (step & -step))
-            rep = n // per
-            for x in range(start, start + per * step, step):
-                cnt[x & rmask] += rep
+            lsb = step & -step
+            key = lsb | start & (lsb - 1)
+            rows[key] = rows.get(key, 0) + 1
             z = z * fk & mmask
+    cnt = [0]  # widened in place: a copy would hold two widths at once
+    for key in sorted(rows):
+        lsb = 1 << (key.bit_length() - 1)
+        cnt *= lsb // len(cnt)
+        cnt[key ^ lsb] += rows[key] * (n * lsb >> r)
+    cnt *= size // len(cnt)
     half = 1 << (r - 1)
     diff = map(sub, islice(cnt, half), islice(cnt, half, None))
     return CycInt(r, tuple(diff if weight == 1 else map(mul, diff, repeat(weight))))

@@ -127,13 +127,17 @@ def test_row_step_power_is_linear_in_j():
 def test_row_period_counts_equal_the_full_row():
     # a row's exponents start + j*step (j < n), reduced mod 2^r, repeat every
     # per = min(n, 2^r / (step & -step)) terms, and per divides n: counting
-    # the first per of them n / per times each gives the full row's counts
+    # the first per of them n / per times each gives the full row's counts.
+    # Every step the oracle forms is a multiple of 2^(h - drop), so with
+    # g = step & -step (2^r for a zero step) per * g = 2^r, and the row puts
+    # n * g / 2^r counts on each exponent = start (mod g) and none elsewhere
     rng = random.Random(13)
     seen = set()
     for m in range(3, 27):
         r, (h, uinv, low) = ring_exponent_for(m), _low_logs(m)
         mod, size, n, drop = 1 << m, 1 << r, 1 << (m - h), m - r
         steps = [0, *(1 << j for j in range(r))]  # every period length
+        unit = 1 << (h - drop)
         for _ in range(12):  # a row's step as the oracle forms it
             a = (rng.randrange(mod) << rng.randrange(m)) % mod
             b = rng.randrange(1 - a % 2, mod, 2)  # A + B odd
@@ -145,6 +149,7 @@ def test_row_period_counts_equal_the_full_row():
             pm = z * mlo * (c2 * uinv % (1 << (m - h))) % mod
             v = pow(5, k << (h - 2), mod)
             steps.append(((a * (v - 1) * pm + (c1 << h)) % mod) >> drop)
+            assert steps[-1] % unit == 0, (m, steps[-1])
         for step in steps:
             start = rng.randrange(size)
             full = Counter((start + j * step) % size for j in range(n))
@@ -155,6 +160,11 @@ def test_row_period_counts_equal_the_full_row():
                 collapsed[(start + j * step) % size] += n // per
             assert collapsed == full, (m, start, step)
             seen.add(per < n)
+            if step % unit == 0:  # the steps the oracle can form
+                g = (step or size) & -(step or size)
+                assert per * g == size, (m, step)
+                s = start % g
+                assert full == Counter({s + i * g: n * g // size for i in range(size // g)})
     assert seen == {True, False}
 
 
@@ -300,6 +310,28 @@ def test_oracle_matches_per_x_count_at_row_boundaries(index):
     mod = 1 << inst.m
     odd = range(1, mod, 2)
     plus = range(1, mod, 4)  # the x = 5^gamma, each once
+    assert brute_force(inst, chi1, chi2) == _counted_sum(inst, chi1, chi2, odd, inst.A)
+    assert half_sum(inst, chi1, chi2, 1) == _counted_sum(inst, chi1, chi2, plus, inst.A)
+    assert half_sum(inst, chi1, chi2, -1) == _counted_sum(inst, chi1, chi2, plus, mod - inst.A)
+
+
+# An odd c1 with an even A: every row steps by exactly 2^(h - drop), the
+# smallest residue class, so each row is one full period of n terms (the
+# oracle's worst case; such sums vanish).  Then one call whose -A half has
+# rows on classes mod 2^8, 2^9 and 2^r = 2^10, the last with a zero step.
+_FULL_PERIOD_AND_MIXED_CASES = [
+    (SumInstance(12, 2, 1, 13), Character(12, 1, 1), Character(12, 1, 1)),
+    (SumInstance(16, 6, 3, 7), Character(16, -1, 3), Character(16, -1, 5)),
+    (SumInstance(12, 2970, 3601, 13), Character(12, -1, 300), Character(12, 1, 210)),
+]
+
+
+@pytest.mark.parametrize("case", _FULL_PERIOD_AND_MIXED_CASES)
+def test_oracle_matches_per_x_count_on_full_periods_and_mixed_classes(case):
+    inst, chi1, chi2 = case
+    mod = 1 << inst.m
+    odd = range(1, mod, 2)
+    plus = range(1, mod, 4)
     assert brute_force(inst, chi1, chi2) == _counted_sum(inst, chi1, chi2, odd, inst.A)
     assert half_sum(inst, chi1, chi2, 1) == _counted_sum(inst, chi1, chi2, plus, inst.A)
     assert half_sum(inst, chi1, chi2, -1) == _counted_sum(inst, chi1, chi2, plus, mod - inst.A)
