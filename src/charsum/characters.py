@@ -6,6 +6,10 @@ and chi(5) = e^(2*pi*i*c/2^(m-2)) with 1 <= c <= 2^(m-2).  Characters vanish
 on even arguments by convention, which is what makes them drop terms out of
 the sums downstream.
 
+The package reads values through `char_exp` and rewrites the fields (s, c)
+directly; the character algebra (products, conductors, ...) is a test
+reference, in tests/ringref.py.
+
 The other input record lives here too: `SumInstance`, the (m, A, B, k) of one
 sum.  Both the closed form and the summation oracle take it from this module,
 so neither has to import the other.
@@ -17,7 +21,7 @@ from collections import namedtuple
 
 from .errors import MAX_M, WidthCapError
 from .frozen import Frozen
-from .ring2adic import dlog5, v2
+from .ring2adic import dlog5
 
 
 class SumInstance(Frozen, namedtuple("SumInstance", "m A B k")):
@@ -63,47 +67,3 @@ def char_exp(chi: Character, x: int, r: int) -> tuple[int, int]:
     # chi(x) = s^eps * zeta_{2^(m-2)}^(c*gamma), re-indexed into ring 2^r
     return (chi.c * gamma) << (r - (chi.m - 2)), chi.s if eps else 1
 
-
-def conductor(chi: Character) -> int:
-    """Smallest m' with chi(x) determined by x mod 2^(m').
-
-    m - v2(c) when that is >= 3; the two characters with chi(5) = 1 sit
-    below that range: 0 for the principal character, 2 for the mod-4 sign.
-    """
-    mp = chi.m - v2(chi.c)
-    if mp >= 3:
-        return mp
-    return 0 if chi.s == 1 else 2
-
-
-def induced(chi: Character, m2: int) -> Character:
-    """The character mod 2^(m2) inducing chi.  Needs conductor(chi) <= m2 <= m."""
-    if not 3 <= m2 <= chi.m:
-        raise ValueError(f"target modulus exponent {m2} out of range [3, {chi.m}]")
-    drop = chi.m - m2
-    if chi.c % (1 << drop):
-        raise ValueError(
-            f"character does not factor through 2^{m2} (conductor {conductor(chi)})"
-        )
-    return Character(m2, chi.s, _norm_c(chi.c >> drop, m2))
-
-
-def _norm_c(c: int, m: int) -> int:
-    """Reduce c into the canonical window [1, 2^(m-2)]."""
-    c %= 1 << (m - 2)
-    return c if c else 1 << (m - 2)
-
-
-def char_conj(chi: Character) -> Character:
-    return Character(chi.m, chi.s, _norm_c(-chi.c, chi.m))
-
-
-def char_mul(a: Character, b: Character) -> Character:
-    if a.m != b.m:
-        raise ValueError(f"modulus mismatch: 2^{a.m} vs 2^{b.m}")
-    return Character(a.m, a.s * b.s, _norm_c(a.c + b.c, a.m))
-
-
-def char_pow(chi: Character, k: int) -> Character:
-    s = chi.s if k % 2 else 1
-    return Character(chi.m, s, _norm_c(k * chi.c, chi.m))

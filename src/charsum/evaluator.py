@@ -25,16 +25,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 
-from .characters import (
-    Character,
-    SumInstance,
-    char_conj,
-    char_exp,
-    char_mul,
-    char_pow,
-    conductor,
-    induced,
-)
+from .characters import Character, SumInstance, char_exp
 from .cyclotomic import CycInt, abs2_terms, approx_terms, ring_exponent_for, terms_json
 from .errors import MAX_M
 from .frozen import Frozen
@@ -54,13 +45,13 @@ REGIME_MIDRANGE = "MidRange"
 REGIME_LARGE = "Large"
 
 
-class DerivedParams(Frozen, namedtuple("DerivedParams", "n A1 t k1 N M_exp regime")):
+class DerivedParams(Frozen, namedtuple("DerivedParams", "n t k1 N M_exp regime")):
     """2-adic shape of a normalized instance (A even, B odd).
 
-    n = v2(A) and A1 its odd part (A = 0 is folded into n = m, the deepest
-    possible valuation mod 2^m); t = v2(k), k1 odd.  N is the cofactor index
-    used inside the characteristic combination; M_exp the modulus exponent
-    of the characteristic congruence.  Both are None in the Tiny regime.
+    n = v2(A) (A = 0 is folded into n = m, the deepest possible valuation
+    mod 2^m); t = v2(k), k1 = k / 2^t odd.  N is the cofactor index used
+    inside the characteristic combination; M_exp the modulus exponent of the
+    characteristic congruence.  Both are None in the Tiny regime.
     """
 
     __slots__ = ()
@@ -182,35 +173,37 @@ def normalize(inst: SumInstance, chi1: Character, chi2: Character) -> Normalized
     """Reduce to the standing shape: A even, B odd, chi2 primitive.
 
     Same-parity A, B kill every term.  Odd A with even B is flipped by
-    summing over x^(-1) instead, which swaps A with B and replaces chi1 by
-    conj(chi1 * chi2^k).  A primitive chi1 against an imprimitive chi2
-    forces the sum to vanish; two imprimitive characters push the whole
-    problem down to their largest conductor, each reduced term class being
-    hit 2^(m - m') times.  Conductors below 3 leave a four-term sum, which
-    closed_form collapses onto x = +-1.
+    summing over x^(-1), which swaps A with B and replaces chi1 by
+    conj(chi1 * chi2^k) = (s1 * s2^k, -(c1 + k*c2)).  A primitive (odd c) chi1
+    against an imprimitive chi2 forces the sum to vanish.  Otherwise both
+    factor through 2^(m - d), d = v2(c1 | c2): at d = m - 2 both live mod 4,
+    a four-term sum closed_form collapses onto x = +-1; below, the problem
+    drops once to 2^(m - d), parameters c >> d and each term class hit 2^d
+    times, where one parameter is odd and the rule above applies once more.
     """
-    if chi1.m != inst.m or chi2.m != inst.m:
+    m = inst.m
+    if chi1.m != m or chi2.m != m:
         raise ValueError("characters and instance must share the modulus")
     if not (inst.A ^ inst.B) & 1:
         return _NORM_ZERO_PARITY
     if inst.A & 1:
-        chi1 = char_conj(char_mul(chi1, char_pow(chi2, inst.k)))
-        inst = SumInstance(inst.m, inst.B, inst.A, inst.k)
-    scale = 0
-    while True:
-        if chi2.c & 1:  # chi2 primitive
-            return NormalizedProblem("standard", None, inst, chi1, chi2, scale)
-        if chi1.c & 1:  # chi1 primitive, chi2 not
-            return _NORM_ZERO_IMPRIMITIVE
-        mp = max(conductor(chi1), conductor(chi2))
-        if mp < 3:
-            # both characters live mod 4: four-term direct summation
-            return NormalizedProblem("direct", None, inst, chi1, chi2, inst.m - 2)
-        scale += inst.m - mp
-        chi1 = induced(chi1, mp)
-        chi2 = induced(chi2, mp)
-        mod = 1 << mp
-        inst = SumInstance(mp, inst.A % mod, inst.B % mod, inst.k)
+        k, q = inst.k, 1 << (m - 2)
+        chi1 = Character(m, chi1.s * chi2.s if k & 1 else chi1.s, -(chi1.c + k * chi2.c) % q or q)
+        inst = SumInstance(m, inst.B, inst.A, k)
+    if chi2.c & 1:  # chi2 primitive
+        return NormalizedProblem("standard", None, inst, chi1, chi2, 0)
+    c1, c2 = chi1.c, chi2.c
+    both = c1 | c2
+    d = (both & -both).bit_length() - 1  # v2(c1 | c2): 0 when chi1 is primitive
+    if d == m - 2:
+        return NormalizedProblem("direct", None, inst, chi1, chi2, d)
+    if not c2 >> d & 1:  # chi1 primitive mod 2^(m - d), chi2 not
+        return _NORM_ZERO_IMPRIMITIVE
+    mp = m - d
+    mod = 1 << mp
+    inst = SumInstance(mp, inst.A % mod, inst.B % mod, inst.k)
+    chi1, chi2 = Character(mp, chi1.s, c1 >> d), Character(mp, chi2.s, c2 >> d)
+    return NormalizedProblem("standard", None, inst, chi1, chi2, d)
 
 
 # ---------------------------------------------------------------------------
@@ -225,20 +218,19 @@ def derive(inst: SumInstance) -> DerivedParams:
     k1 = k >> t
     if A == 0:
         # A = 0 mod 2^m behaves as valuation >= m: deepest Tiny shape
-        return DerivedParams(m, 1, t, k1, None, None, REGIME_TINY)
+        return DerivedParams(m, t, k1, None, None, REGIME_TINY)
     n = (A & -A).bit_length() - 1  # v2(A)
-    a1 = A >> n
     d = m - n
     m_exp = ((m + n) >> 1) + t
     if d < t + 2:
-        return DerivedParams(n, a1, t, k1, None, None, REGIME_TINY)
+        return DerivedParams(n, t, k1, None, None, REGIME_TINY)
     if d == t + 2:
-        return DerivedParams(n, a1, t, k1, t + 2, m_exp, REGIME_EDGE_T2)
+        return DerivedParams(n, t, k1, t + 2, m_exp, REGIME_EDGE_T2)
     if d == t + 3:
-        return DerivedParams(n, a1, t, k1, t + 2, m_exp, REGIME_EDGE_T3)
+        return DerivedParams(n, t, k1, t + 2, m_exp, REGIME_EDGE_T3)
     if d <= 2 * t + 4:
-        return DerivedParams(n, a1, t, k1, t + 2, m_exp, REGIME_MIDRANGE)
-    return DerivedParams(n, a1, t, k1, (d + 1) >> 1, m_exp, REGIME_LARGE)
+        return DerivedParams(n, t, k1, t + 2, m_exp, REGIME_MIDRANGE)
+    return DerivedParams(n, t, k1, (d + 1) >> 1, m_exp, REGIME_LARGE)
 
 
 # ---------------------------------------------------------------------------

@@ -7,9 +7,9 @@ discrete logs (the split log below), never `dlog5` or `char_exp`.
 Every odd x mod 2^m is +-5^gamma for gamma = 0..2^(m-2)-1.  For odd k the
 x = -5^gamma half of the sum is the x = +5^gamma half with -A in place of A,
 times chi1(-1); for even k the two halves feed the same inner argument.  So
-`brute_force` and `half_sum` both run one loop, `_sum`, over gamma: it counts
-the terms on each full exponent in Z/2^r, and the counts fold onto the power
-basis once at the end.
+`brute_force` and `half_sum` both run one loop, `_counts`, over gamma: it
+counts the terms on each full exponent in Z/2^r, and `_sum` folds the counts
+onto the power basis once at the end.
 
 Parity hoist: for odd x the inner argument A*x^k + B is A + B mod 2, so an
 even A + B makes the sum zero outright, and otherwise every argument is odd.
@@ -49,6 +49,8 @@ from .characters import Character, SumInstance
 from .cyclotomic import CycInt, ring_exponent_for, zero
 from .errors import MAX_ORACLE_M, WidthCapError
 
+_Halves = tuple[tuple[int, int], ...]  # (a_res, base) pairs, as _counts reads them
+
 
 @lru_cache(maxsize=None)  # keyed by m <= MAX_ORACLE_M, 2^(h-1) entries each
 def _low_logs(m: int) -> tuple[int, int, tuple[tuple[bool, int, int] | None, ...]]:
@@ -76,15 +78,11 @@ def _check_cap(m: int) -> None:
         )
 
 
-def _sum(
-    inst: SumInstance,
-    chi1: Character,
-    chi2: Character,
-    halves: tuple[tuple[int, int], ...],
-    weight: int,
-) -> CycInt:
-    """weight * sum over (a_res, base) in halves of
-    sum_gamma zeta_{2^r}^base * chi1(5^gamma) * chi2(a_res * 5^(gamma k) + B).
+def _counts(inst: SumInstance, chi1: Character, chi2: Character, halves: _Halves) -> list[int]:
+    """The count vector of the sum over (a_res, base) in halves of
+    sum_gamma zeta_{2^r}^base * chi1(5^gamma) * chi2(a_res * 5^(gamma k) + B):
+    slot e, for each e in Z/2^r, holds how many terms equal zeta_{2^r}^e.
+    Needs A + B odd, so that every inner argument is odd.
 
     Exponents are carried times 2^drop as residues mod 2^m, so that
     Z/2^r = Z/2^(m - drop): a character exponent c*L in Z/2^(m-2) is c*L << 2
@@ -114,13 +112,11 @@ def _sum(
     lsb).  Taking the classes by increasing lsb, the count vector is widened
     by repeating it (slot s of width w lands on every s + i*w) up to each
     class's lsb, and the class's counts go on its slot start mod lsb.  The
-    result is the term-by-term count vector, all 2^r slots of it, and it is
-    folded whole: no row is dropped or summed in closed form.
+    result is the term-by-term count vector, all 2^r slots of it: no row is
+    dropped or summed in closed form.
     """
     m = inst.m
     r = ring_exponent_for(m)
-    if weight == 0 or (inst.A + inst.B) % 2 == 0:
-        return zero(r)
     mod = 1 << m
     mmask = mod - 1
     drop = m - r  # 0 <= drop <= 2
@@ -157,6 +153,17 @@ def _sum(
         cnt *= lsb // len(cnt)
         cnt[key ^ lsb] += rows[key] * (n * lsb >> r)
     cnt *= size // len(cnt)
+    return cnt
+
+
+def _sum(
+    inst: SumInstance, chi1: Character, chi2: Character, halves: _Halves, weight: int
+) -> CycInt:
+    """weight * the sum _counts counts, its count vector folded onto the power basis."""
+    r = ring_exponent_for(inst.m)
+    if weight == 0 or (inst.A + inst.B) % 2 == 0:
+        return zero(r)
+    cnt = _counts(inst, chi1, chi2, halves)
     half = 1 << (r - 1)
     diff = map(sub, islice(cnt, half), islice(cnt, half, None))
     return CycInt(r, tuple(diff if weight == 1 else map(mul, diff, repeat(weight))))

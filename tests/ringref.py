@@ -1,19 +1,30 @@
 """Dense reference algebra for the tests.
 
 The package itself works on sparse term lists and compares them against the
-oracle's dense vectors without ever multiplying ring elements.  The tests
+oracle's dense vectors without ever multiplying ring elements, and rewrites
+characters through their fields (s, c) without an algebra on them.  The tests
 need more: products, conjugates, sqrt(2), character values as ring elements,
-the principal and mod-4 sign characters, a primitivity test, and the complete
-solution set of the characteristic congruence, so that identities can be
-checked exactly and the closed form's shortcuts can be compared against a
-plain enumeration.  Those references live here.
+the principal and mod-4 sign characters, a primitivity test, the character
+algebra (products, conjugates, powers, conductors, induced characters), the
+step-by-step normalization it supports, and the complete solution set of the
+characteristic congruence, so that identities can be checked exactly and the
+closed form's shortcuts can be compared against a plain enumeration.  Those
+references live here.
 """
 
 from __future__ import annotations
 
 from charsum.characters import Character, char_exp
 from charsum.cyclotomic import CycInt, zero
-from charsum.evaluator import REGIME_LARGE, SumInstance, _c_affine, derive
+from charsum.evaluator import (
+    CASE_ZERO_IMPRIMITIVE,
+    CASE_ZERO_PARITY,
+    REGIME_LARGE,
+    NormalizedProblem,
+    SumInstance,
+    _c_affine,
+    derive,
+)
 from charsum.ring2adic import v2
 
 
@@ -30,6 +41,81 @@ def sign_mod4(m: int) -> Character:
 def is_primitive(chi: Character) -> bool:
     """True when chi does not factor through any smaller power of 2."""
     return chi.c % 2 == 1
+
+
+def conductor(chi: Character) -> int:
+    """Smallest m' with chi(x) determined by x mod 2^(m').
+
+    m - v2(c) when that is >= 3; the two characters with chi(5) = 1 sit
+    below that range: 0 for the principal character, 2 for the mod-4 sign.
+    """
+    mp = chi.m - v2(chi.c)
+    if mp >= 3:
+        return mp
+    return 0 if chi.s == 1 else 2
+
+
+def induced(chi: Character, m2: int) -> Character:
+    """The character mod 2^(m2) inducing chi.  Needs conductor(chi) <= m2 <= m."""
+    if not 3 <= m2 <= chi.m:
+        raise ValueError(f"target modulus exponent {m2} out of range [3, {chi.m}]")
+    drop = chi.m - m2
+    if chi.c % (1 << drop):
+        raise ValueError(
+            f"character does not factor through 2^{m2} (conductor {conductor(chi)})"
+        )
+    return Character(m2, chi.s, _norm_c(chi.c >> drop, m2))
+
+
+def _norm_c(c: int, m: int) -> int:
+    """Reduce c into the canonical window [1, 2^(m-2)]."""
+    c %= 1 << (m - 2)
+    return c if c else 1 << (m - 2)
+
+
+def char_conj(chi: Character) -> Character:
+    return Character(chi.m, chi.s, _norm_c(-chi.c, chi.m))
+
+
+def char_mul(a: Character, b: Character) -> Character:
+    if a.m != b.m:
+        raise ValueError(f"modulus mismatch: 2^{a.m} vs 2^{b.m}")
+    return Character(a.m, a.s * b.s, _norm_c(a.c + b.c, a.m))
+
+
+def char_pow(chi: Character, k: int) -> Character:
+    s = chi.s if k % 2 else 1
+    return Character(chi.m, s, _norm_c(k * chi.c, chi.m))
+
+
+def normalize_ref(inst: SumInstance, chi1: Character, chi2: Character) -> NormalizedProblem:
+    """evaluator.normalize step by step, on the character algebra above.
+
+    The swap builds conj(chi1 * chi2^k) from its factors, and the reduction
+    loops, pushing both characters down to their largest conductor until
+    chi2 is primitive, chi1 alone is, or both live mod 4.
+    """
+    if chi1.m != inst.m or chi2.m != inst.m:
+        raise ValueError("characters and instance must share the modulus")
+    if not (inst.A ^ inst.B) & 1:
+        return NormalizedProblem("zero", CASE_ZERO_PARITY, None, None, None, 0)
+    if inst.A & 1:
+        chi1 = char_conj(char_mul(chi1, char_pow(chi2, inst.k)))
+        inst = SumInstance(inst.m, inst.B, inst.A, inst.k)
+    scale = 0
+    while True:
+        if is_primitive(chi2):
+            return NormalizedProblem("standard", None, inst, chi1, chi2, scale)
+        if is_primitive(chi1):
+            return NormalizedProblem("zero", CASE_ZERO_IMPRIMITIVE, None, None, None, 0)
+        mp = max(conductor(chi1), conductor(chi2))
+        if mp < 3:
+            return NormalizedProblem("direct", None, inst, chi1, chi2, inst.m - 2)
+        scale += inst.m - mp
+        chi1 = induced(chi1, mp)
+        chi2 = induced(chi2, mp)
+        mod = 1 << mp
+        inst = SumInstance(mp, inst.A % mod, inst.B % mod, inst.k)
 
 
 def from_int(n: int, r: int) -> CycInt:

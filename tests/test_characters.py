@@ -2,16 +2,22 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from charsum.characters import (
-    Character,
+from charsum.characters import Character
+from charsum.cyclotomic import zero
+from ringref import (
     char_conj,
     char_mul,
     char_pow,
     conductor,
+    eval_char,
+    from_int,
     induced,
+    is_primitive,
+    mul,
+    principal,
+    root_of_unity,
+    sign_mod4,
 )
-from charsum.cyclotomic import zero
-from ringref import eval_char, from_int, is_primitive, mul, principal, root_of_unity, sign_mod4
 
 
 def all_characters(m):

@@ -9,12 +9,7 @@ from hypothesis import strategies as st
 
 import charsum.characters
 import charsum.evaluator
-from charsum.characters import (
-    Character,
-    char_conj,
-    char_mul,
-    char_pow,
-)
+from charsum.characters import Character
 from charsum.cyclotomic import CycInt
 from charsum.errors import WidthCapError
 from charsum.evaluator import (
@@ -43,10 +38,14 @@ from charsum.oracle import brute_force
 from charsum.ring2adic import dlog5, v2
 from ringref import (
     add,
+    char_conj,
+    char_mul,
+    char_pow,
     conj,
     eval_char,
     from_int,
     mul,
+    normalize_ref,
     principal,
     scalar_mul,
     sign_mod4,
@@ -85,7 +84,7 @@ def test_instance_validation():
 
 def test_derive_examples():
     p = derive(SumInstance(7, 2, 1, 1))
-    assert (p.n, p.A1, p.t, p.k1, p.N, p.M_exp, p.regime) == (1, 1, 0, 1, 3, 4, REGIME_LARGE)
+    assert (p.n, p.t, p.k1, p.N, p.M_exp, p.regime) == (1, 0, 1, 3, 4, REGIME_LARGE)
     p = derive(SumInstance(6, 8, 1, 2))
     assert (p.n, p.t, p.regime) == (3, 1, REGIME_EDGE_T2)
     p = derive(SumInstance(8, 4, 1, 12))
@@ -274,6 +273,33 @@ def test_normalize_reduction_scale_and_value():
     val = cf.value()
     assert cf.scale_log2 == 2
     assert val == brute_force(inst, chi1, chi2)
+
+
+def test_normalize_matches_the_step_by_step_reference():
+    # every character pair at m = 3..7, A and B drawn in all four parity
+    # classes, against the loop over conductors and induced characters
+    rng = random.Random(20)
+    seen = set()
+    for m in range(3, 8):
+        mod = 1 << m
+        every = [Character(m, s, c) for c in range(1, (mod >> 2) + 1) for s in (1, -1)]
+        for chi1 in every:
+            for chi2 in every:
+                for pa, pb in ((0, 0), (0, 1), (1, 0), (1, 1)):
+                    a, b = rng.randrange(pa, mod, 2), rng.randrange(pb, mod, 2)
+                    for k in (1, 2, 3, 4, 12):
+                        inst = SumInstance(m, a, b, k)
+                        norm = normalize(inst, chi1, chi2)
+                        assert norm == normalize_ref(inst, chi1, chi2), (inst, chi1, chi2)
+                        seen.add((norm.kind, norm.zero_case, norm.scale_log2 > 0, pa))
+    # swapped and unswapped, reduced and not, every terminal
+    assert seen >= {
+        ("standard", None, False, 0), ("standard", None, False, 1),
+        ("standard", None, True, 0), ("standard", None, True, 1),
+        ("direct", None, True, 0), ("direct", None, True, 1),
+        ("zero", CASE_ZERO_IMPRIMITIVE, False, 0), ("zero", CASE_ZERO_IMPRIMITIVE, False, 1),
+        ("zero", CASE_ZERO_PARITY, False, 0), ("zero", CASE_ZERO_PARITY, False, 1),
+    }
 
 
 def test_normalize_direct_mod4_path():

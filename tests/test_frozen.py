@@ -89,8 +89,8 @@ def test_records_are_immutable(index):
 def test_repr_names_the_fields():
     assert repr(Character(5, 1, 3)) == "Character(m=5, s=1, c=3)"
     assert repr(CycInt(2, (1, -1))) == "CycInt(r=2, coeffs=(1, -1))"
-    assert repr(DerivedParams(1, 1, 0, 1, None, None, "Tiny")) == (
-        "DerivedParams(n=1, A1=1, t=0, k1=1, N=None, M_exp=None, regime='Tiny')"
+    assert repr(DerivedParams(1, 0, 1, None, None, "Tiny")) == (
+        "DerivedParams(n=1, t=0, k1=1, N=None, M_exp=None, regime='Tiny')"
     )
     for rec in _records():
         text = repr(rec)

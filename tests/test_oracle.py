@@ -16,7 +16,7 @@ from charsum.characters import Character, SumInstance, char_exp
 from charsum.cyclotomic import CycInt, ring_exponent_for, zero
 from charsum.errors import WidthCapError
 from charsum.evaluator import closed_form
-from charsum.oracle import _low_logs, brute_force, half_sum
+from charsum.oracle import _counts, _low_logs, brute_force, half_sum
 from charsum.sweep import sample_records
 from ringref import add, eval_char, from_int, mul, principal, scalar_mul, sign_mod4
 
@@ -257,9 +257,9 @@ def test_oracle_matches_independent_reference(case):
     assert half_sum(inst, chi1, chi2, 1) == _reference_sum(inst, chi1, chi2, plus)
 
 
-def _counted_sum(inst, chi1, chi2, xs, a):
-    """sum of chi1(x) chi2(a x^k + B) over xs: one count per x on the exponent
-    of its term, read from characters.char_exp, folded at the end."""
+def _per_x_counts(inst, chi1, chi2, xs, a):
+    """Slot e, for each e in Z/2^r: how many x in xs have chi1(x) chi2(a x^k + B)
+    = zeta_{2^r}^e, one count per x, read from characters.char_exp."""
     r = ring_exponent_for(inst.m)
     mod, half = 1 << inst.m, 1 << (r - 1)
     cnt = [0] * (1 << r)
@@ -269,6 +269,13 @@ def _counted_sum(inst, chi1, chi2, xs, a):
             e1, s1 = char_exp(chi1, x, r)
             e2, s2 = char_exp(chi2, y, r)
             cnt[(e1 + e2 + (half if s1 != s2 else 0)) % (1 << r)] += 1
+    return cnt
+
+
+def _counted_sum(inst, chi1, chi2, xs, a):
+    """sum of chi1(x) chi2(a x^k + B) over xs: the per-x counts, folded."""
+    r = ring_exponent_for(inst.m)
+    cnt, half = _per_x_counts(inst, chi1, chi2, xs, a), 1 << (r - 1)
     return CycInt(r, tuple(cnt[e] - cnt[e + half] for e in range(half)))
 
 
@@ -335,6 +342,25 @@ def test_oracle_matches_per_x_count_on_full_periods_and_mixed_classes(case):
     assert brute_force(inst, chi1, chi2) == _counted_sum(inst, chi1, chi2, odd, inst.A)
     assert half_sum(inst, chi1, chi2, 1) == _counted_sum(inst, chi1, chi2, plus, inst.A)
     assert half_sum(inst, chi1, chi2, -1) == _counted_sum(inst, chi1, chi2, plus, mod - inst.A)
+
+
+def test_count_vector_matches_per_x_count_on_each_half():
+    # the fold cancels counts spread evenly over a residue class mod 2^(r-1)
+    # or finer, as on most rows with a nonzero step, so no folded sum sees a
+    # wrong count there: compare each half's vector before the fold
+    rng = random.Random(18)
+    for _ in range(400):
+        m = rng.randint(3, 12)
+        mod, cmax = 1 << m, 1 << (m - 2)
+        a = rng.randrange(mod) >> rng.randrange(m) << rng.randrange(m) & (mod - 1)
+        b = rng.randrange(1 - a % 2, mod, 2)  # A + B odd
+        inst = SumInstance(m, a, b, rng.randint(1, 40) << rng.randrange(4))
+        chi1 = Character(m, rng.choice((1, -1)), rng.randint(1, cmax))
+        chi2 = Character(m, rng.choice((1, -1)), rng.randint(1, cmax))
+        plus = range(1, mod, 4)  # the x = 5^gamma, each once
+        for a_res in (a, -a % mod):
+            want = _per_x_counts(inst, chi1, chi2, plus, a_res)
+            assert _counts(inst, chi1, chi2, ((a_res, 0),)) == want, (inst, chi1, chi2, a_res)
 
 
 def test_oracle_digest_is_pinned():
