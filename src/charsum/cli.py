@@ -12,6 +12,7 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterable
 
 from .characters import Character
 from .cyclotomic import approx_terms, matches_dense
@@ -47,9 +48,10 @@ def _check_m(flag: str, m: int, cap: int) -> None:
         raise WidthCapError(f"modulus exponent {m} exceeds cap {cap}")
 
 
-def _check_terms(terms: float) -> None:
-    """Refuse a sweep whose estimated oracle terms exceed MAX_SWEEP_TERMS
-    (exit 3), before its first record is compared."""
+def _check_sweep(counts: Iterable[tuple[int, float]]) -> None:
+    """Refuse (exit 3) a sweep of (m, record count) pairs whose oracle terms,
+    2^(m-1) per record, exceed MAX_SWEEP_TERMS, before a record is compared."""
+    terms = sum(n * (1 << (m - 1)) for m, n in counts)
     if terms > MAX_SWEEP_TERMS:
         raise WidthCapError(
             f"sweep of about {terms:.3g} oracle terms exceeds cap {MAX_SWEEP_TERMS:.3g}"
@@ -133,12 +135,12 @@ def cmd_check(args) -> int:
     ms = range(args.m_min, args.m_max + 1)
     if args.exhaustive:
         ks = args.k_list or ()
-        _check_terms(sum(exhaustive_count(m, ks) << (m - 1) for m in ms))
+        _check_sweep((m, exhaustive_count(m, ks)) for m in ms)
         records = (r for m in ms for r in exhaustive_records(m, ks))
         seed = None
     else:
         # sample_records draws m uniformly from ms
-        _check_terms(args.samples * sum(1 << (m - 1) for m in ms) / len(ms))
+        _check_sweep((m, args.samples / len(ms)) for m in ms)
         seed = args.seed
         records = sample_records(seed, args.m_min, args.m_max, args.samples)
     report = run_check(records, jobs=args.jobs, seed=seed)
@@ -197,7 +199,7 @@ def cmd_grid(args) -> int:
     for flag, key in (("--s1-list", "s1_list"), ("--s2-list", "s2_list")):
         _check_list(flag, lists[key], lambda s: s in (1, -1), "{1, -1}")
     _check_list("--k-list", ks, lambda k: k >= 1, "[1, inf)")
-    _check_terms(exhaustive_count(args.m, ks, **lists) << (args.m - 1))
+    _check_sweep([(args.m, exhaustive_count(args.m, ks, **lists))])
     try:
         with open(args.out, "w", encoding="utf-8") as fh:
             rows, bad = write_grid(fh, exhaustive_records(args.m, ks, **lists), args.jobs)

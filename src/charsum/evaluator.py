@@ -418,8 +418,9 @@ def _collapse(
     A, B = inst.A, inst.B
     acc: dict[int, int] = {}
     for x, shift in witnesses:
-        # A x^k + B: x^k = -1 only for x = -1 and odd k
-        y = B - A if x == -1 and inst.k & 1 else B + A
+        # A x^k + B at x = -1 is B - A for odd k; an even k meets x = -1 only on
+        # the four-term path, where A is even and chi2 lives mod 4, so B - A works too
+        y = B - A if x == -1 else B + A
         e, s = char_exp(chi2, y % (1 << m), r)
         _fold(acc, r, e, (s if x == 1 else chi1.s * s) << shift)
     return _closed(case, r, acc, scale_log2=scale_log2)

@@ -8,10 +8,11 @@ lazily, one block of _BLOCK at a time: `run_check` adds up a report (and
 checks Large-regime results' squared magnitude, a sparse product of the
 matched terms, against the regime formula), `write_grid` writes CSV rows.
 Sampling is seeded and single-streamed, so reports are reproducible and
-independent of the worker count.  `sample_records` rotates through aimed case
-shapes; each aim makes a fixed sequence of draws, and the MidRange and Large
-aims draw their shared root shape (A, k, c1 = 2^(n+t) * odd, an odd c2) in
-one place, `_root_shape`.  The benchmark's pinned inputs come from this
+independent of the worker count.  `sample_records` yields its records one at
+a time, as `exhaustive_records` does, rotating through aimed case shapes;
+each aim makes a fixed sequence of draws, and the MidRange and Large aims
+draw their shared root shape (A, k, c1 = 2^(n+t) * odd, an odd c2) in one
+place, `_root_shape`.  The benchmark's pinned inputs come from this
 sampler, so a change to it must keep every draw and its order.
 
 Each block goes through `_pool_map`: with `jobs` processes, the calling
@@ -434,20 +435,14 @@ SAMPLE_AIMS = (
 )
 
 
-def sample_records(seed: int, m_min: int, m_max: int, count: int) -> list[Record]:
-    """Seeded stratified sample: rotates through aimed case shapes so every
-    branch of the evaluator keeps getting traffic."""
+def sample_records(seed: int, m_min: int, m_max: int, count: int) -> Iterator[Record]:
+    """Seeded stratified sample, yielded lazily: rotates through aimed case
+    shapes so every branch of the evaluator keeps getting traffic."""
     rng = random.Random(seed)
-    out: list[Record] = []
-    i = 0
-    while len(out) < count:
+    for i in range(count):
         m = rng.randint(m_min, m_max)
         rec = _aimed_record(rng, m, SAMPLE_AIMS[i % len(SAMPLE_AIMS)])
-        i += 1
-        if rec is None:
-            rec = _aimed_record(rng, m, "Uniform")
-        out.append(rec)
-    return out
+        yield rec if rec is not None else _aimed_record(rng, m, "Uniform")
 
 
 # ---------------------------------------------------------------------------

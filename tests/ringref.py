@@ -6,16 +6,17 @@ characters through their fields (s, c) without an algebra on them.  The tests
 need more: products, conjugates, sqrt(2), character values as ring elements,
 the principal and mod-4 sign characters, a primitivity test, the character
 algebra (products, conjugates, powers, conductors, induced characters), the
-step-by-step normalization it supports, and the complete solution set of the
-characteristic congruence, so that identities can be checked exactly and the
-closed form's shortcuts can be compared against a plain enumeration.  Those
-references live here.
+step-by-step normalization it supports, a per-x count of a sum's terms that
+shares no code with the oracle's summation loop, and the complete solution
+set of the characteristic congruence, so that identities can be checked
+exactly and the closed form's shortcuts can be compared against a plain
+enumeration.  Those references live here.
 """
 
 from __future__ import annotations
 
 from charsum.characters import Character, char_exp
-from charsum.cyclotomic import CycInt, zero
+from charsum.cyclotomic import CycInt, ring_exponent_for, zero
 from charsum.evaluator import (
     CASE_ZERO_IMPRIMITIVE,
     CASE_ZERO_PARITY,
@@ -200,6 +201,28 @@ def eval_char(chi: Character, x: int, r: int) -> CycInt:
         return zero(r)
     e, sign = char_exp(chi, x, r)
     return root_of_unity(r, e if sign == 1 else e + (1 << (r - 1)))
+
+
+def per_x_counts(inst, chi1, chi2, xs, a):
+    """Slot e, for each e in Z/2^r: how many x in xs have chi1(x) chi2(a x^k + B)
+    = zeta_{2^r}^e, one count per x, read from char_exp."""
+    r = ring_exponent_for(inst.m)
+    mod, half = 1 << inst.m, 1 << (r - 1)
+    cnt = [0] * (1 << r)
+    for x in xs:
+        y = (a * pow(x, inst.k, mod) + inst.B) % mod
+        if y % 2:
+            e1, s1 = char_exp(chi1, x, r)
+            e2, s2 = char_exp(chi2, y, r)
+            cnt[(e1 + e2 + (half if s1 != s2 else 0)) % (1 << r)] += 1
+    return cnt
+
+
+def counted_sum(inst, chi1, chi2, xs, a):
+    """sum of chi1(x) chi2(a x^k + B) over xs: the per-x counts, folded."""
+    r = ring_exponent_for(inst.m)
+    cnt, half = per_x_counts(inst, chi1, chi2, xs, a), 1 << (r - 1)
+    return CycInt(r, tuple(cnt[e] - cnt[e + half] for e in range(half)))
 
 
 def solve_characteristic(

@@ -27,7 +27,16 @@ from charsum.sweep import (
     run_check,
     sample_records,
 )
-from ringref import add, from_int, mul, root_of_unity, scalar_mul, solve_characteristic, sqrt2
+from ringref import (
+    add,
+    counted_sum,
+    from_int,
+    mul,
+    root_of_unity,
+    scalar_mul,
+    solve_characteristic,
+    sqrt2,
+)
 
 JOBS = 2
 REGIME_TAGS = (
@@ -145,12 +154,32 @@ def _decomposition_chunk(recs):
     return bad
 
 
+def _half_sums_by_count(recs):
+    """Failures of half_sum against a per-x count of each half's terms, which
+    shares no summation code with the oracle."""
+    bad = 0
+    for m, a, b, k, c1, s1, c2, s2 in recs:
+        inst = SumInstance(m, a, b, k)
+        chi1 = Character(m, s1, c1)
+        chi2 = Character(m, s2, c2)
+        plus = range(1, 1 << m, 4)  # the x = 5^gamma, each once
+        for sign in (1, -1):
+            want = counted_sum(inst, chi1, chi2, plus, sign * a % (1 << m))
+            bad += half_sum(inst, chi1, chi2, sign) != want
+    return bad
+
+
 def test_criterion_4_decomposition_identities():
-    records = sample_records(1004, 6, 12, 10_000)
+    # brute_force and half_sum share the oracle's summation loop, so the
+    # identity alone tests only how brute_force combines the halves
+    records = list(sample_records(1004, 6, 12, 10_000))
     bad = sum(_pool_map(_decomposition_chunk, records, JOBS))
+    counted = records[::20]
+    bad_counts = sum(_pool_map(_half_sums_by_count, counted, JOBS))
     _report(
-        4, "half-sum decomposition identities", bad == 0,
-        f"{len(records)} instances, {bad} failures",
+        4, "half-sum decomposition identities, half sums by per-x count", bad + bad_counts == 0,
+        f"{len(records)} instances, {bad} failures; {len(counted)} counted, "
+        f"{bad_counts} failures",
     )
 
 

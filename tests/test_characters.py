@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from charsum.characters import Character
+from charsum.characters import Character, char_exp
 from charsum.cyclotomic import zero
 from ringref import (
     char_conj,
@@ -52,6 +52,14 @@ def test_eval_even_argument_is_zero():
 def test_eval_rejects_small_ring():
     with pytest.raises(ValueError):
         eval_char(Character(8, 1, 1), 3, 5)  # needs r >= 6
+
+
+@pytest.mark.parametrize("m", [3, 6, 12])
+def test_char_exp_refuses_even_argument_without_dlog(m):
+    # chi(5) = 1 reads chi(x) from x mod 4, which has no value at an even x
+    for x in (0, 2, 1 << (m - 1)):
+        with pytest.raises(ValueError, match="is even"):
+            char_exp(Character(m, -1, 1 << (m - 2)), x, max(m - 2, 3))
 
 
 @pytest.mark.parametrize("m", [3, 4, 5, 6])

@@ -348,7 +348,7 @@ def _grid_text(records, jobs):
 
 def test_grid_rows_identical_across_jobs(monkeypatch):
     # 203 records: not a multiple of the chunk count at 2 or 3 jobs
-    records = charsum.sweep.sample_records(9, 6, 9, 203)
+    records = list(charsum.sweep.sample_records(9, 6, 9, 203))
     want = _grid_text(records, 1)
     assert want[1] == (203, 0)
     assert want[0].count("\n") == 204 and want[0].startswith(GRID_HEADER + "\n")
@@ -361,7 +361,7 @@ def test_grid_rows_identical_across_jobs(monkeypatch):
 
 
 def test_check_report_identical_across_blocks(monkeypatch):
-    records = charsum.sweep.sample_records(9, 6, 9, 203)
+    records = list(charsum.sweep.sample_records(9, 6, 9, 203))
     want = _check_doc(records, 1)
     assert want["instances_checked"] == 203
     monkeypatch.setattr(charsum.sweep, "_BLOCK", 61)
@@ -374,6 +374,14 @@ def test_exhaustive_records_are_lazy():
     t0 = time.monotonic()
     assert next(charsum.sweep.exhaustive_records(12)) == (12, 0, 1, 1, 1, 1, 1, 1)
     assert time.monotonic() - t0 < 1
+
+
+def test_sample_records_are_lazy():
+    # 2^30 records at m = 3 would take over 100 GB as one list
+    t0 = time.monotonic()
+    first = next(charsum.sweep.sample_records(1, 3, 3, 1 << 30))
+    assert time.monotonic() - t0 < 1
+    assert first == next(charsum.sweep.sample_records(1, 3, 3, 1))
 
 
 @pytest.mark.parametrize("m, ks, lists", [
@@ -446,7 +454,7 @@ fork_only = pytest.mark.skipif(
     (_fail_in_parent, AssertionError, "planted failure in the calling process"),
 ], ids=["child-raises", "child-exits", "parent-raises"])
 def test_pool_map_error_stops_every_child(func, exc, match):
-    records = charsum.sweep.sample_records(3, 6, 6, 64)
+    records = list(charsum.sweep.sample_records(3, 6, 6, 64))
     t0 = time.monotonic()
     with pytest.raises(exc, match=match):
         charsum.sweep._pool_map(func, records, 2)
@@ -535,6 +543,41 @@ def test_check_flags_wrong_magnitude(capsys, monkeypatch):
     assert code == 1
     assert doc["mismatches"] == []
     assert large > 0 and len(doc["magnitude_violations"]) == large
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=fork_only)])
+def test_check_reports_exactly_the_wrong_records(capsys, monkeypatch, jobs):
+    # no honest mismatch exists, so make the closed form wrong on every fifth
+    # record: a nonzero value negated, a zero one given a term
+    records = list(charsum.sweep.sample_records(9, 6, 9, 203))
+    bad = set(records[::5])
+    real = charsum.sweep.closed_form
+
+    def wrong_on_bad(inst, chi1, chi2):
+        cf = real(inst, chi1, chi2)
+        if (*inst, chi1.c, chi1.s, chi2.c, chi2.s) not in bad:
+            return cf
+        terms = tuple((e, -x) for e, x in cf.terms) or ((0, 1),)
+        return ClosedForm(
+            cf.case, cf.ring_exponent, terms,
+            cf.magnitude_halves, cf.x0, cf.lambda_parity, cf.h, cf.scale_log2,
+        )
+
+    monkeypatch.setattr(charsum.sweep, "closed_form", wrong_on_bad)
+    # blocks of 100 records, each fanned out at jobs = 2, and a last block of 3
+    monkeypatch.setattr(charsum.sweep, "_BLOCK", 100)
+    want = sorted(r for r in records if r in bad)
+    report = charsum.sweep.run_check(iter(records), jobs=jobs)
+    assert report.instances_checked == 203
+    assert report.mismatches == want
+    assert report.magnitude_violations == []
+    assert not report.ok()
+    code, out = run_cli(
+        capsys, "check", "--m-min", "6", "--m-max", "9",
+        "--samples", "203", "--seed", "9", "--jobs", str(jobs),
+    )
+    assert code == 1
+    assert json.loads(out)["mismatches"] == [list(r) for r in want]
 
 
 def test_check_exhaustive_tiny(capsys):

@@ -114,6 +114,16 @@ def test_matches_dense():
     assert matches_dense(5, (), zero(5))  # the zero value
     assert not matches_dense(5, (), a)
     assert not matches_dense(5, terms, zero(5))
+    # each kind of wrong value, against a = -2 + zeta^3
+    for wrong in (
+        ((0, 2), (3, 1)),  # one coefficient negated
+        ((0, -2), (4, 1)),  # one term moved by one exponent step
+        ((0, -2), (11, 1)),  # one term moved by a quarter turn
+        ((0, -2),),  # one term dropped
+        ((0, -2), (3, 1), (7, 1)),  # one term added
+        ((0, -4), (3, 2)),  # every coefficient doubled
+    ):
+        assert not matches_dense(5, wrong, a), wrong
 
 
 @given(cycint_pairs())

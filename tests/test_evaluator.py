@@ -240,6 +240,14 @@ def test_normalize_same_parity_is_zero():
         assert cf.case == CASE_ZERO_PARITY and not any(val.coeffs)
 
 
+def test_normalize_refuses_characters_of_another_modulus():
+    inst = SumInstance(6, 2, 1, 1)
+    for chi1, chi2 in ((Character(5, 1, 1), Character(6, 1, 1)),
+                       (Character(6, 1, 1), Character(7, -1, 3))):
+        with pytest.raises(ValueError, match="share the modulus"):
+            normalize(inst, chi1, chi2)
+
+
 def test_normalize_imprimitive_chi2_is_zero():
     chi1, chi2 = chars(6, 1, 3, -1, 4)  # chi1 primitive, chi2 not
     norm = normalize(SumInstance(6, 2, 1, 1), chi1, chi2)

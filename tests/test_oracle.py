@@ -18,7 +18,17 @@ from charsum.errors import WidthCapError
 from charsum.evaluator import closed_form
 from charsum.oracle import _counts, _low_logs, brute_force, half_sum
 from charsum.sweep import sample_records
-from ringref import add, eval_char, from_int, mul, principal, scalar_mul, sign_mod4
+from ringref import (
+    add,
+    counted_sum,
+    eval_char,
+    from_int,
+    mul,
+    per_x_counts,
+    principal,
+    scalar_mul,
+    sign_mod4,
+)
 
 
 def test_same_parity_sums_vanish():
@@ -257,28 +267,6 @@ def test_oracle_matches_independent_reference(case):
     assert half_sum(inst, chi1, chi2, 1) == _reference_sum(inst, chi1, chi2, plus)
 
 
-def _per_x_counts(inst, chi1, chi2, xs, a):
-    """Slot e, for each e in Z/2^r: how many x in xs have chi1(x) chi2(a x^k + B)
-    = zeta_{2^r}^e, one count per x, read from characters.char_exp."""
-    r = ring_exponent_for(inst.m)
-    mod, half = 1 << inst.m, 1 << (r - 1)
-    cnt = [0] * (1 << r)
-    for x in xs:
-        y = (a * pow(x, inst.k, mod) + inst.B) % mod
-        if y % 2:
-            e1, s1 = char_exp(chi1, x, r)
-            e2, s2 = char_exp(chi2, y, r)
-            cnt[(e1 + e2 + (half if s1 != s2 else 0)) % (1 << r)] += 1
-    return cnt
-
-
-def _counted_sum(inst, chi1, chi2, xs, a):
-    """sum of chi1(x) chi2(a x^k + B) over xs: the per-x counts, folded."""
-    r = ring_exponent_for(inst.m)
-    cnt, half = _per_x_counts(inst, chi1, chi2, xs, a), 1 << (r - 1)
-    return CycInt(r, tuple(cnt[e] - cnt[e + half] for e in range(half)))
-
-
 @functools.cache
 def _boundary_cases():
     """40 seeded instances at m = 10..18 with A + B odd, cycling through the
@@ -317,9 +305,9 @@ def test_oracle_matches_per_x_count_at_row_boundaries(index):
     mod = 1 << inst.m
     odd = range(1, mod, 2)
     plus = range(1, mod, 4)  # the x = 5^gamma, each once
-    assert brute_force(inst, chi1, chi2) == _counted_sum(inst, chi1, chi2, odd, inst.A)
-    assert half_sum(inst, chi1, chi2, 1) == _counted_sum(inst, chi1, chi2, plus, inst.A)
-    assert half_sum(inst, chi1, chi2, -1) == _counted_sum(inst, chi1, chi2, plus, mod - inst.A)
+    assert brute_force(inst, chi1, chi2) == counted_sum(inst, chi1, chi2, odd, inst.A)
+    assert half_sum(inst, chi1, chi2, 1) == counted_sum(inst, chi1, chi2, plus, inst.A)
+    assert half_sum(inst, chi1, chi2, -1) == counted_sum(inst, chi1, chi2, plus, mod - inst.A)
 
 
 # An odd c1 with an even A: every row steps by exactly 2^(h - drop), the
@@ -339,9 +327,9 @@ def test_oracle_matches_per_x_count_on_full_periods_and_mixed_classes(case):
     mod = 1 << inst.m
     odd = range(1, mod, 2)
     plus = range(1, mod, 4)
-    assert brute_force(inst, chi1, chi2) == _counted_sum(inst, chi1, chi2, odd, inst.A)
-    assert half_sum(inst, chi1, chi2, 1) == _counted_sum(inst, chi1, chi2, plus, inst.A)
-    assert half_sum(inst, chi1, chi2, -1) == _counted_sum(inst, chi1, chi2, plus, mod - inst.A)
+    assert brute_force(inst, chi1, chi2) == counted_sum(inst, chi1, chi2, odd, inst.A)
+    assert half_sum(inst, chi1, chi2, 1) == counted_sum(inst, chi1, chi2, plus, inst.A)
+    assert half_sum(inst, chi1, chi2, -1) == counted_sum(inst, chi1, chi2, plus, mod - inst.A)
 
 
 def test_count_vector_matches_per_x_count_on_each_half():
@@ -359,7 +347,7 @@ def test_count_vector_matches_per_x_count_on_each_half():
         chi2 = Character(m, rng.choice((1, -1)), rng.randint(1, cmax))
         plus = range(1, mod, 4)  # the x = 5^gamma, each once
         for a_res in (a, -a % mod):
-            want = _per_x_counts(inst, chi1, chi2, plus, a_res)
+            want = per_x_counts(inst, chi1, chi2, plus, a_res)
             assert _counts(inst, chi1, chi2, ((a_res, 0),)) == want, (inst, chi1, chi2, a_res)
 
 
