@@ -57,12 +57,8 @@ class Character(Frozen, namedtuple("Character", "m s c")):
 
 
 def char_exp(chi: Character, x: int, r: int) -> tuple[int, int]:
-    """(e, sign) with chi(x) = sign * zeta_{2^r}^e, for odd x and r >= m - 2."""
-    if chi.c == 1 << (chi.m - 2):
-        # chi(5) = 1: chi is its sign on x = 3 mod 4, no discrete log needed
-        if x % 2 == 0:
-            raise ValueError(f"{x} is even; characters take no exponent there")
-        return 0, chi.s if x & 3 == 3 else 1
+    """(e, sign) with chi(x) = sign * zeta_{2^r}^e, for odd x and r >= m - 2;
+    e is not reduced mod 2^r."""
     eps, gamma = dlog5(x, chi.m)
     # chi(x) = s^eps * zeta_{2^(m-2)}^(c*gamma), re-indexed into ring 2^r
     return (chi.c * gamma) << (r - (chi.m - 2)), chi.s if eps else 1

@@ -16,7 +16,7 @@ from collections.abc import Iterable
 
 from .characters import Character
 from .cyclotomic import approx_terms, matches_dense
-from .errors import MAX_M, MAX_ORACLE_M, MAX_SWEEP_TERMS, WidthCapError
+from .errors import MAX_M, MAX_ORACLE_M, MAX_SWEEP_TERMS, RECORD_COST_TERMS, WidthCapError
 from .evaluator import SumInstance, closed_form
 from .oracle import brute_force
 
@@ -50,8 +50,9 @@ def _check_m(flag: str, m: int, cap: int) -> None:
 
 def _check_sweep(counts: Iterable[tuple[int, float]]) -> None:
     """Refuse (exit 3) a sweep of (m, record count) pairs whose oracle terms,
-    2^(m-1) per record, exceed MAX_SWEEP_TERMS, before a record is compared."""
-    terms = sum(n * (1 << (m - 1)) for m, n in counts)
+    2^(m-1) per record plus RECORD_COST_TERMS for the record's fixed cost,
+    exceed MAX_SWEEP_TERMS, before a record is compared."""
+    terms = sum(n * ((1 << (m - 1)) + RECORD_COST_TERMS) for m, n in counts)
     if terms > MAX_SWEEP_TERMS:
         raise WidthCapError(
             f"sweep of about {terms:.3g} oracle terms exceeds cap {MAX_SWEEP_TERMS:.3g}"
@@ -154,16 +155,13 @@ def cmd_check(args) -> int:
 
 def cmd_bench(args) -> int:
     inst, chi1, chi2 = _instance(args, MAX_ORACLE_M)
-    # closed form: repeat until the clock resolves it, report the best lap
-    reps = 0
+    # closed form: 2000 laps, so the clock resolves it; report the best lap
+    reps = 2000
     best = float("inf")
-    budget_end = time.perf_counter() + 0.5
-    while reps < 2000 and time.perf_counter() < budget_end:
+    for _ in range(reps):
         t0 = time.perf_counter()
         cf = closed_form(inst, chi1, chi2)
-        dt = time.perf_counter() - t0
-        best = min(best, dt)
-        reps += 1
+        best = min(best, time.perf_counter() - t0)
     t0 = time.perf_counter()
     val = brute_force(inst, chi1, chi2)
     brute_seconds = time.perf_counter() - t0

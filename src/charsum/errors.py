@@ -12,8 +12,13 @@ MAX_M = 30          # closed-form evaluation refuses larger moduli
 MAX_ORACLE_M = 26
 # time policy for check and grid: the oracle terms a sweep may sum in total,
 # 1.2-2 minutes at the 17-27 ns per term the oracle takes at m = 14..22
-# (2-vCPU VM), more per term at small m, where each call's fixed cost shows
+# (2-vCPU VM); each record's fixed cost is charged on top, as below
 MAX_SWEEP_TERMS = 1 << 32
+# what a sweep charges each record for its fixed cost (closed form, compare,
+# harness), in oracle terms: a record at m = 3 took 13 us in `run_check` with
+# jobs 1, and the oracle 16-23 ns per term at m = 16..22 (2-vCPU VM), so one
+# record costs 570-820 terms, rounded up to 2^10
+RECORD_COST_TERMS = 1 << 10
 
 
 class WidthCapError(Exception):

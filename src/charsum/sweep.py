@@ -15,9 +15,9 @@ draw their shared root shape (A, k, c1 = 2^(n+t) * odd, an odd c2) in one
 place, `_root_shape`.  The benchmark's pinned inputs come from this
 sampler, so a change to it must keep every draw and its order.
 
-Each block goes through `_pool_map`: with `jobs` processes, the calling
-process computes every jobs-th chunk itself and jobs - 1 child processes
-compute the rest.  Each child sends back its results or its exception over a
+Each block goes through `_pool_map`: cut into `jobs` contiguous parts, the
+calling process computes the first itself and one child process computes each
+of the others.  Each child sends back its result or its exception over a
 pipe; the exception is re-raised in the caller with its type unchanged (so an
 AssertionError stays an internal error), and a child that dies without
 answering raises RuntimeError.  No child outlives the call.
@@ -119,10 +119,10 @@ def _check_chunk(recs: list[Record]) -> tuple:
     return len(recs), mismatches, tags, mag_bad, t_closed, t_brute
 
 
-def _worker(func, chunks: list[list[Record]], conn) -> None:
-    """Child side of `_pool_map`: one message, ("ok", results) or ("error", exc)."""
+def _worker(func, part: list[Record], conn) -> None:
+    """Child side of `_pool_map`: one message, ("ok", result) or ("error", exc)."""
     try:
-        msg = ("ok", [func(chunk) for chunk in chunks])
+        msg = ("ok", func(part))
     except Exception as ex:
         msg = ("error", ex)
     conn.send(msg)
@@ -130,17 +130,16 @@ def _worker(func, chunks: list[list[Record]], conn) -> None:
 
 
 def _pool_map(func, records: list[Record], jobs: int) -> list:
-    """func over chunks of records, results in record order.
+    """func over contiguous parts of records, results in record order.
 
-    The records are cut into about jobs * 8 contiguous chunks.  This process
-    computes chunks 0::jobs itself and child p (1 <= p < jobs) computes chunks
-    p::jobs, so `jobs` counts this process; striping keeps the shares even
-    when records are sorted by m.  No child starts without a chunk.  Each
-    child sends back one message on its own pipe: its results, or the
-    exception it raised, which is re-raised here with its type unchanged.  A
-    child that exits without a message raises RuntimeError naming it and its
-    exit code.  On any error the remaining children are terminated and
-    joined before the exception propagates.
+    The records are cut into at most `jobs` contiguous parts of equal size
+    (the last one shorter).  This process computes part 0 itself and child p
+    computes part p, so `jobs` counts this process and no child starts
+    without records.  Each child sends back one message on its own pipe: its
+    result, or the exception it raised, which is re-raised here with its type
+    unchanged.  A child that exits without a message raises RuntimeError
+    naming it and its exit code.  On any error the remaining children are
+    terminated and joined before the exception propagates.
 
     Small or single-job runs stay in this process; only a real fan-out
     imports multiprocessing, so processes that never fork do not pay for it.
@@ -149,20 +148,17 @@ def _pool_map(func, records: list[Record], jobs: int) -> list:
         return [func(records)]
     import multiprocessing
 
-    size = max(1, (len(records) + jobs * 8 - 1) // (jobs * 8))
-    chunks = [records[i : i + size] for i in range(0, len(records), size)]
-    results: list = [None] * len(chunks)
+    size = (len(records) + jobs - 1) // jobs
+    parts = [records[i : i + size] for i in range(0, len(records), size)]
     workers = []
     try:
-        for p in range(1, min(jobs, len(chunks))):
+        for part in parts[1:]:
             recv, send = multiprocessing.Pipe(duplex=False)
-            proc = multiprocessing.Process(
-                target=_worker, args=(func, chunks[p::jobs], send), daemon=True
-            )
+            proc = multiprocessing.Process(target=_worker, args=(func, part, send), daemon=True)
             proc.start()
             workers.append((proc, recv))
             send.close()  # the child holds the only write end, so its exit means EOF here
-        results[0::jobs] = [func(chunk) for chunk in chunks[0::jobs]]
+        results = [func(parts[0])]
         for p, (proc, recv) in enumerate(workers, 1):
             try:
                 status, value = recv.recv()
@@ -174,7 +170,7 @@ def _pool_map(func, records: list[Record], jobs: int) -> list:
                 ) from None
             if status == "error":
                 raise value
-            results[p::jobs] = value
+            results.append(value)
             proc.join()
         return results
     finally:
@@ -186,7 +182,7 @@ def _pool_map(func, records: list[Record], jobs: int) -> list:
 
 
 def _blocks(func, records: Iterable[Record], jobs: int) -> Iterator:
-    """func's chunk results over records in record order, holding one block at a time."""
+    """func's results over records, one per part, in record order, holding one block at a time."""
     it = iter(records)
     while block := list(islice(it, _BLOCK)):
         yield from _pool_map(func, block, jobs)

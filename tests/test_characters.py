@@ -56,7 +56,7 @@ def test_eval_rejects_small_ring():
 
 @pytest.mark.parametrize("m", [3, 6, 12])
 def test_char_exp_refuses_even_argument_without_dlog(m):
-    # chi(5) = 1 reads chi(x) from x mod 4, which has no value at an even x
+    # chi(5) = 1 takes the discrete log like every character, and an even x has none
     for x in (0, 2, 1 << (m - 1)):
         with pytest.raises(ValueError, match="is even"):
             char_exp(Character(m, -1, 1 << (m - 2)), x, max(m - 2, 3))

@@ -2,18 +2,20 @@ import io
 import json
 import multiprocessing
 import os
+import shlex
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
 import charsum.cli
 import charsum.sweep
-from charsum.cli import main
+from charsum.cli import build_parser, main
 from charsum.cyclotomic import zero
 from charsum.evaluator import ClosedForm
-from charsum.sweep import GRID_HEADER
+from charsum.sweep import GRID_HEADER, CheckReport
 
 
 def run_cli(capsys, *argv):
@@ -319,7 +321,7 @@ def test_check_small_sweep(capsys):
 
 
 def test_check_deterministic_across_jobs(capsys):
-    # 203 records: not a multiple of the chunk count at 2 or 3 jobs
+    # 203 records: not a multiple of 2 or 3, so the last part is shorter
     docs = []
     for jobs in ("1", "2", "3"):
         code, out = run_cli(
@@ -347,14 +349,14 @@ def _grid_text(records, jobs):
 
 
 def test_grid_rows_identical_across_jobs(monkeypatch):
-    # 203 records: not a multiple of the chunk count at 2 or 3 jobs
+    # 203 records: not a multiple of 2 or 3, so the last part is shorter
     records = list(charsum.sweep.sample_records(9, 6, 9, 203))
     want = _grid_text(records, 1)
     assert want[1] == (203, 0)
     assert want[0].count("\n") == 204 and want[0].startswith(GRID_HEADER + "\n")
     for jobs in (2, 3):
         assert _grid_text(iter(records), jobs) == want
-    # blocks of 61 records split the chunks and leave a last block of 20
+    # blocks of 61 records leave a last block of 20
     monkeypatch.setattr(charsum.sweep, "_BLOCK", 61)
     for jobs in (1, 2, 3):
         assert _grid_text(iter(records), jobs) == want
@@ -399,10 +401,12 @@ def _never_compare(rec):
 
 
 @pytest.mark.parametrize("argv, terms", [
-    (["check", "--exhaustive", "--m-min", "7", "--m-max", "7"], "1.5e+10"),
+    (["check", "--exhaustive", "--m-min", "7", "--m-max", "7"], "2.56e+11"),
     (["check", "--m-min", "26", "--m-max", "26", "--samples", "1000"], "3.36e+10"),
-    (["grid", "--m", "12"], "5.04e+17"),
-], ids=["check-exhaustive", "check-sampled", "grid"])
+    (["grid", "--m", "12"], "7.57e+17"),
+    # each record's fixed cost: 2^30 records at m = 3 would take hours
+    (["check", "--m-min", "3", "--m-max", "3", "--samples", "1073741824"], "1.1e+12"),
+], ids=["check-exhaustive", "check-sampled", "grid", "check-many-small"])
 def test_oversized_sweep_exits_3_before_comparing(capsys, monkeypatch, tmp_path, argv, terms):
     monkeypatch.setattr(charsum.sweep, "_compare", _never_compare)
     out_path = tmp_path / "grid.csv"
@@ -515,7 +519,7 @@ def test_pool_map_starts_no_child_without_a_chunk(monkeypatch):
             pass
 
     monkeypatch.setattr(multiprocessing, "Process", InlineProcess)
-    # 64 records at jobs = 100 make 64 one-record chunks: 63 children, one chunk each
+    # 64 records at jobs = 100 make 64 one-record parts: 63 children, one part each
     assert charsum.sweep._pool_map(len, list(range(64)), 100) == [1] * 64
     assert started == [1] * 63
 
@@ -578,6 +582,61 @@ def test_check_reports_exactly_the_wrong_records(capsys, monkeypatch, jobs):
     )
     assert code == 1
     assert json.loads(out)["mismatches"] == [list(r) for r in want]
+
+
+@pytest.mark.parametrize("sink", ["check", "grid"])
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=fork_only)])
+def test_sweep_reads_at_most_one_block_ahead(monkeypatch, sink, jobs):
+    # blocks of 64 records, the fewest that fan out at jobs = 2, and a last block of 32
+    records = list(charsum.sweep.sample_records(9, 6, 9, 224))
+    pulled = 0
+
+    def counting():
+        nonlocal pulled
+        for rec in records:
+            pulled += 1
+            yield rec
+
+    real = charsum.sweep._pool_map
+    handed = []
+
+    def watched(func, block, jobs):
+        handed.append((pulled, block))
+        return real(func, block, jobs)
+
+    monkeypatch.setattr(charsum.sweep, "_BLOCK", 64)
+    monkeypatch.setattr(charsum.sweep, "_pool_map", watched)
+    if sink == "check":
+        assert charsum.sweep.run_check(counting(), jobs=jobs).instances_checked == 224
+    else:
+        assert charsum.sweep.write_grid(io.StringIO(), counting(), jobs) == (224, 0)
+    assert [block for _, block in handed] == [records[i : i + 64] for i in range(0, 224, 64)]
+    for i, (n, _) in enumerate(handed):
+        assert n <= (i + 1) * 64
+
+
+def _readme_cli_examples() -> list[list[str]]:
+    """The argument lists of the `charsum ...` lines in the README's CLI block."""
+    text = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = text.split("\n## CLI\n", 1)[1].split("```\n", 2)[1]
+    return [shlex.split(line)[1:] for line in block.splitlines() if line.startswith("charsum ")]
+
+
+def test_readme_cli_examples_parse_and_pass_the_gates(monkeypatch, tmp_path):
+    examples = _readme_cli_examples()
+    assert [argv[0] for argv in examples] == ["eval", "check", "check", "bench", "grid"]
+    for argv in examples:
+        build_parser().parse_args(argv)
+    # the sweeps themselves are stubbed: this holds the examples to the flag
+    # checks and the size gate, which run before any record is compared
+    monkeypatch.setattr(
+        charsum.sweep, "run_check", lambda records, jobs, seed: CheckReport(seed, jobs)
+    )
+    monkeypatch.setattr(charsum.sweep, "write_grid", lambda fh, records, jobs: (0, 0))
+    monkeypatch.chdir(tmp_path)
+    for argv in examples:
+        if argv[0] in ("check", "grid"):
+            assert main(argv) == 0, argv
 
 
 def test_check_exhaustive_tiny(capsys):

@@ -384,6 +384,24 @@ def test_large_representative_independence():
     assert forms[0].value() == brute_force(inst, chi1, chi2)
 
 
+def test_evaluate_large_refuses_a_witness_off_the_congruence():
+    inst = SumInstance(9, 4, 3, 3)
+    chi1, chi2 = chars(9, -1, 4, 1, 5)
+    w, sols = solve_characteristic(inst, chi1, chi2)
+    x0 = next(x for x in range(1, 1 << w, 2) if x not in sols)
+    with pytest.raises(AssertionError, match="does not satisfy the characteristic congruence"):
+        evaluate_large(inst, chi1, chi2, derive(inst), x0=x0)
+
+
+@pytest.mark.parametrize("terms, match", [
+    (((0, 1), (1, 1)), r"\|S\|\^2 not rational"),  # |1 + zeta_8|^2 = 2 + sqrt(2)
+    (((0, 3),), r"\|S\|\^2 not a power of two"),
+], ids=["irrational", "not-a-power-of-two"])
+def test_magnitude_self_check_refuses_values_no_regime_produces(terms, match):
+    with pytest.raises(AssertionError, match=match):
+        charsum.evaluator._sparse_abs2_log2(terms, 3)
+
+
 def test_large_solution_dlog_progression():
     # solutions map to a single arithmetic progression of exponents per sign
     rng = random.Random(11)
@@ -662,7 +680,7 @@ COLLAPSE_DLOGS = [
     (5, 2, 1, 1, (1, 2), (1, 1), REGIME_MIDRANGE, 1),
     (5, 8, 1, 2, (-1, 8), (1, 1), CASE_ZERO_CONDITION, 0),
     (5, 2, 1, 1, (-1, 4), (1, 1), CASE_ZERO_CONDITION, 0),
-    (5, 2, 1, 1, (1, 8), (-1, 8), CASE_REDUCED, 0),
+    (5, 2, 1, 1, (1, 8), (-1, 8), CASE_REDUCED, 2),
 ]
 
 
