@@ -3,10 +3,10 @@
 Elements are stored on the power basis zeta^0 .. zeta^(2^(r-1) - 1) with the
 single relation zeta^(2^(r-1)) = -1.  The representation is unique, so ring
 equality is coefficient equality and "equals zero" needs no tolerance.
-Dense values (CycInt) are what the summation oracle returns; it accumulates
-into a plain list and freezes it at the end.  The closed form keeps sparse
-(exponent, coeff) term lists, and the helpers here compare, square, print and
-approximate those without densifying them.
+Dense values (CycInt) are what the summation oracle returns; it counts into
+an array of 4-byte slots and freezes the folded counts at the end.  The
+closed form keeps sparse (exponent, coeff) term lists, and the helpers here
+compare, square, print and approximate those without densifying them.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ desk-scale memory and runtime.
 """
 
 MAX_M = 30          # closed-form evaluation refuses larger moduli
-# time policy: the oracle builds and folds a 2^(m-2)-slot count vector;
-# `eval --method both --k 13` takes 0.8-1.1 s at m = 26, with or without
-# --c1 1 (2-vCPU VM)
+# time policy: the oracle builds and folds a 2^(m-2)-slot count vector of
+# 4-byte slots, each holding at most 2^(m-1) terms, so m <= 31 keeps them
+# in range; `eval --method both --k 13` takes 0.93-1.03 s at m = 26 and peaks
+# at 157 MB RSS, with or without --c1 1 (2-vCPU VM)
 MAX_ORACLE_M = 26
 # time policy for check and grid: the oracle terms a sweep may sum in total,
 # 1.2-2 minutes at the 17-27 ns per term the oracle takes at m = 14..22

@@ -6,10 +6,11 @@ discrete logs (the split log below), never `dlog5` or `char_exp`.
 
 Every odd x mod 2^m is +-5^gamma for gamma = 0..2^(m-2)-1.  For odd k the
 x = -5^gamma half of the sum is the x = +5^gamma half with -A in place of A,
-times chi1(-1); for even k the two halves feed the same inner argument.  So
-`brute_force` and `half_sum` both run one loop, `_counts`, over gamma: it
-counts the terms on each full exponent in Z/2^r, and `_sum` folds the counts
-onto the power basis once at the end.
+times chi1(-1); for even k the two halves feed the same inner argument, so
+one half is counted with weight 1 + chi1(-1).  So `brute_force` and
+`half_sum` both run one loop, `_counts`, over gamma: it counts the weighted
+terms on each full exponent in Z/2^r, into 4-byte slots, and `_sum` folds the
+counts onto the power basis once at the end.
 
 Parity hoist: for odd x the inner argument A*x^k + B is A + B mod 2, so an
 even A + B makes the sum zero outright, and otherwise every argument is odd.
@@ -41,9 +42,10 @@ counts cancel in the fold.
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
-from itertools import islice, repeat
-from operator import mul, sub
+from itertools import islice
+from operator import sub
 
 from .characters import Character, SumInstance
 from .cyclotomic import CycInt, ring_exponent_for, zero
@@ -78,11 +80,15 @@ def _check_cap(m: int) -> None:
         )
 
 
-def _counts(inst: SumInstance, chi1: Character, chi2: Character, halves: _Halves) -> list[int]:
-    """The count vector of the sum over (a_res, base) in halves of
+def _counts(
+    inst: SumInstance, chi1: Character, chi2: Character, halves: _Halves, weight: int
+) -> array:
+    """The count vector of weight times the sum over (a_res, base) in halves of
     sum_gamma zeta_{2^r}^base * chi1(5^gamma) * chi2(a_res * 5^(gamma k) + B):
-    slot e, for each e in Z/2^r, holds how many terms equal zeta_{2^r}^e.
-    Needs A + B odd, so that every inner argument is odd.
+    slot e, for each e in Z/2^r, holds weight times how many terms equal
+    zeta_{2^r}^e, in a 4-byte signed slot (array "i").  Needs A + B odd, so
+    that every inner argument is odd.  A slot counts at most 2^(m-1) terms
+    (two halves of 2^(m-2), or one at weight 2), below 2^31 at m <= MAX_ORACLE_M.
 
     Exponents are carried times 2^drop as residues mod 2^m, so that
     Z/2^r = Z/2^(m - drop): a character exponent c*L in Z/2^(m-2) is c*L << 2
@@ -113,7 +119,8 @@ def _counts(inst: SumInstance, chi1: Character, chi2: Character, halves: _Halves
     by repeating it (slot s of width w lands on every s + i*w) up to each
     class's lsb, and the class's counts go on its slot start mod lsb.  The
     result is the term-by-term count vector, all 2^r slots of it: no row is
-    dropped or summed in closed form.
+    dropped or summed in closed form.  Each class's tally is multiplied by
+    weight as it is added, so the fold needs no second pass.
     """
     m = inst.m
     r = ring_exponent_for(m)
@@ -147,11 +154,11 @@ def _counts(inst: SumInstance, chi1: Character, chi2: Character, halves: _Halves
             key = lsb | start & (lsb - 1)
             rows[key] = rows.get(key, 0) + 1
             z = z * fk & mmask
-    cnt = [0]  # widened in place: a copy would hold two widths at once
+    cnt = array("i", [0])  # widened in place: a copy would hold two widths at once
     for key in sorted(rows):
         lsb = 1 << (key.bit_length() - 1)
         cnt *= lsb // len(cnt)
-        cnt[key ^ lsb] += rows[key] * (n * lsb >> r)
+        cnt[key ^ lsb] += rows[key] * (n * lsb >> r) * weight
     cnt *= size // len(cnt)
     return cnt
 
@@ -159,14 +166,13 @@ def _counts(inst: SumInstance, chi1: Character, chi2: Character, halves: _Halves
 def _sum(
     inst: SumInstance, chi1: Character, chi2: Character, halves: _Halves, weight: int
 ) -> CycInt:
-    """weight * the sum _counts counts, its count vector folded onto the power basis."""
+    """weight * the sum over halves: _counts' weighted count vector, folded onto the power basis."""
     r = ring_exponent_for(inst.m)
     if weight == 0 or (inst.A + inst.B) % 2 == 0:
         return zero(r)
-    cnt = _counts(inst, chi1, chi2, halves)
+    cnt = _counts(inst, chi1, chi2, halves, weight)
     half = 1 << (r - 1)
-    diff = map(sub, islice(cnt, half), islice(cnt, half, None))
-    return CycInt(r, tuple(diff if weight == 1 else map(mul, diff, repeat(weight))))
+    return CycInt(r, tuple(map(sub, islice(cnt, half), islice(cnt, half, None))))
 
 
 def brute_force(inst: SumInstance, chi1: Character, chi2: Character) -> CycInt:

@@ -13,7 +13,7 @@ import pytest
 import charsum.cli
 import charsum.sweep
 from charsum.cli import build_parser, main
-from charsum.cyclotomic import zero
+from charsum.cyclotomic import ring_exponent_for, zero
 from charsum.evaluator import ClosedForm
 from charsum.sweep import GRID_HEADER, CheckReport
 
@@ -285,6 +285,59 @@ def test_cli_does_not_import_dataclasses():
     assert proc.returncode == 0, proc.stderr
 
 
+posix_only = pytest.mark.skipif(not hasattr(os, "wait4"), reason="reads a child's peak RSS with os.wait4")
+
+
+_WAIT4 = (
+    "import os, subprocess, sys; "
+    "proc = subprocess.Popen(sys.argv[1:], stdout=subprocess.DEVNULL); "
+    "_, status, usage = os.wait4(proc.pid, 0); "
+    "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss)"
+)
+
+
+def _child_peak_rss(prelude, *argv):
+    """(exit code, peak RSS in bytes) of a CLI process that runs prelude before main(argv).
+
+    A small interpreter starts it and reads its rusage with os.wait4: Linux
+    carries the starting process's peak into a child's ru_maxrss, so started
+    from this test process every child would read at least this one's peak.
+    """
+    script = f"import sys; {prelude}from charsum.cli import main; sys.exit(main(sys.argv[1:]))"
+    src = os.path.dirname(os.path.dirname(charsum.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", _WAIT4, sys.executable, "-c", script, *argv],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    code, maxrss = map(int, proc.stdout.split())
+    return code, maxrss * (1 if sys.platform == "darwin" else 1024)
+
+
+@posix_only
+def test_oracle_costs_at_most_10_bytes_per_count_slot():
+    # `both` differs from `closed` by the oracle: its 2^r-slot count vector,
+    # 4 bytes a slot, and the folded value; 8-byte slots would exceed the bound
+    argv = ["eval", "--m", "22", "--k", "13", "--method"]
+    code_both, both = _child_peak_rss("", *argv, "both")
+    code_closed, closed = _child_peak_rss("", *argv, "closed")
+    assert code_both == code_closed == 0
+    assert both - closed <= 10 * (1 << ring_exponent_for(22)), (both, closed)
+
+
+@posix_only
+def test_check_peak_rss_does_not_grow_with_samples():
+    # blocks of 2^12 records: a sweep that held every record would differ by
+    # over 10 MB between 10^4 and 10^5 records at m = 3
+    prelude = "import charsum.sweep; charsum.sweep._BLOCK = 1 << 12; "
+    argv = ["check", "--m-min", "3", "--m-max", "3", "--jobs", "1", "--samples"]
+    code_small, small = _child_peak_rss(prelude, *argv, "10000")
+    code_large, large = _child_peak_rss(prelude, *argv, "100000")
+    assert code_small == code_large == 0
+    assert large - small <= 3 << 20, (small, large)
+
+
 @pytest.mark.parametrize("argv", [
     ["eval", "--m", "12"],
     ["check", "--m-min", "3", "--m-max", "6", "--samples", "50", "--jobs", "1"],
@@ -348,6 +401,24 @@ def _grid_text(records, jobs):
     return fh.getvalue(), counts
 
 
+def _blocks_of_70(monkeypatch):
+    """Cuts sweeps into blocks of 70 records and returns the list that
+    receives, per block, how many parts _pool_map cut it into: one per
+    process.  203 records make blocks of 70, 70 and 63, and the last one is
+    below the 64-record floor, so only the first two fan out."""
+    real = charsum.sweep._pool_map
+    parts = []
+
+    def watched(func, block, jobs):
+        results = real(func, block, jobs)
+        parts.append(len(results))
+        return results
+
+    monkeypatch.setattr(charsum.sweep, "_BLOCK", 70)
+    monkeypatch.setattr(charsum.sweep, "_pool_map", watched)
+    return parts
+
+
 def test_grid_rows_identical_across_jobs(monkeypatch):
     # 203 records: not a multiple of 2 or 3, so the last part is shorter
     records = list(charsum.sweep.sample_records(9, 6, 9, 203))
@@ -356,19 +427,22 @@ def test_grid_rows_identical_across_jobs(monkeypatch):
     assert want[0].count("\n") == 204 and want[0].startswith(GRID_HEADER + "\n")
     for jobs in (2, 3):
         assert _grid_text(iter(records), jobs) == want
-    # blocks of 61 records leave a last block of 20
-    monkeypatch.setattr(charsum.sweep, "_BLOCK", 61)
+    parts = _blocks_of_70(monkeypatch)
     for jobs in (1, 2, 3):
+        parts.clear()
         assert _grid_text(iter(records), jobs) == want
+        assert parts == [jobs, jobs, 1]
 
 
 def test_check_report_identical_across_blocks(monkeypatch):
     records = list(charsum.sweep.sample_records(9, 6, 9, 203))
     want = _check_doc(records, 1)
     assert want["instances_checked"] == 203
-    monkeypatch.setattr(charsum.sweep, "_BLOCK", 61)
+    parts = _blocks_of_70(monkeypatch)
     for jobs in (1, 2, 3):
+        parts.clear()
         assert _check_doc(iter(records), jobs) == want
+        assert parts == [jobs, jobs, 1]
 
 
 def test_exhaustive_records_are_lazy():

@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+from array import array
 from collections import Counter
 from pathlib import Path
 
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 import charsum
 from charsum.characters import Character, SumInstance, char_exp
 from charsum.cyclotomic import CycInt, ring_exponent_for, zero
-from charsum.errors import WidthCapError
+from charsum.errors import MAX_ORACLE_M, WidthCapError
 from charsum.evaluator import closed_form
 from charsum.oracle import _counts, _low_logs, brute_force, half_sum
 from charsum.sweep import sample_records
@@ -348,7 +349,24 @@ def test_count_vector_matches_per_x_count_on_each_half():
         plus = range(1, mod, 4)  # the x = 5^gamma, each once
         for a_res in (a, -a % mod):
             want = per_x_counts(inst, chi1, chi2, plus, a_res)
-            assert _counts(inst, chi1, chi2, ((a_res, 0),)) == want, (inst, chi1, chi2, a_res)
+            got = list(_counts(inst, chi1, chi2, ((a_res, 0),), 1))
+            assert got == want, (inst, chi1, chi2, a_res)
+        if inst.k % 2 == 0 and chi1.s == 1:
+            # x and -x give the same term, so brute_force tallies the
+            # x = 5^gamma half with weight 2: every odd x, each once
+            want = per_x_counts(inst, chi1, chi2, range(1, mod, 2), a)
+            assert list(_counts(inst, chi1, chi2, ((a, 0),), 2)) == want, (inst, chi1, chi2)
+
+
+def test_largest_slot_count_fits_the_count_vector():
+    # with both characters trivial and even k, slot 0 holds every odd x:
+    # 2^(m-1), the most any slot can hold; at the cap it must fit the 4-byte
+    # signed slot, so that raising the cap fails here and not in a user's call
+    m = 9
+    trivial = Character(m, 1, 1 << (m - 2))
+    cnt = _counts(SumInstance(m, 2, 1, 4), trivial, trivial, ((2, 0),), 2)
+    assert cnt[0] == 1 << (m - 1) and not any(cnt[1:])
+    array(cnt.typecode, [1 << (MAX_ORACLE_M - 1)])  # OverflowError if it does not fit
 
 
 def test_oracle_digest_is_pinned():
