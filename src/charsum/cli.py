@@ -15,10 +15,9 @@ import time
 from collections.abc import Iterable
 
 from .characters import Character
-from .cyclotomic import approx_terms, matches_dense
-from .errors import MAX_M, MAX_ORACLE_M, MAX_SWEEP_TERMS, RECORD_COST_TERMS, WidthCapError
+from .cyclotomic import approx_terms, ring_exponent_for, terms_json
+from .errors import MAX_M, MAX_ORACLE_M, MAX_SWEEP_TERMS, WidthCapError, record_terms
 from .evaluator import SumInstance, closed_form
-from .oracle import brute_force
 
 EXIT_OK = 0
 EXIT_MISMATCH = 1
@@ -50,9 +49,9 @@ def _check_m(flag: str, m: int, cap: int) -> None:
 
 def _check_sweep(counts: Iterable[tuple[int, float]]) -> None:
     """Refuse (exit 3) a sweep of (m, record count) pairs whose oracle terms,
-    2^(m-1) per record plus RECORD_COST_TERMS for the record's fixed cost,
-    exceed MAX_SWEEP_TERMS, before a record is compared."""
-    terms = sum(n * ((1 << (m - 1)) + RECORD_COST_TERMS) for m, n in counts)
+    priced by record_terms (2^(m-1) per record plus its fixed cost), exceed
+    MAX_SWEEP_TERMS, before a record is compared."""
+    terms = sum(n * record_terms(m) for m, n in counts)
     if terms > MAX_SWEEP_TERMS:
         raise WidthCapError(
             f"sweep of about {terms:.3g} oracle terms exceeds cap {MAX_SWEEP_TERMS:.3g}"
@@ -109,12 +108,14 @@ def cmd_eval(args) -> int:
         cf = closed_form(inst, chi1, chi2)
         doc["closed_form"] = cf.to_json_dict()
     if args.method in ("brute", "both"):
-        value = brute_force(inst, chi1, chi2)
-        value_doc = value.to_json_dict()
-        re, im = approx_terms(value.r, value_doc["terms"])
-        doc["oracle"] = {"value": value_doc, "approx": {"re": re, "im": im}}
+        from .oracle import brute_terms
+
+        r = ring_exponent_for(inst.m)
+        terms = brute_terms(inst, chi1, chi2)
+        re, im = approx_terms(r, terms)
+        doc["oracle"] = {"value": terms_json(r, terms), "approx": {"re": re, "im": im}}
     if args.method == "both":
-        match = matches_dense(cf.ring_exponent, cf.terms, value)
+        match = cf.ring_exponent == r and cf.terms == terms
         doc["match"] = match
         if not match:
             code = EXIT_MISMATCH
@@ -154,6 +155,8 @@ def cmd_check(args) -> int:
 
 
 def cmd_bench(args) -> int:
+    from .oracle import brute_terms
+
     inst, chi1, chi2 = _instance(args, MAX_ORACLE_M)
     # closed form: 2000 laps, so the clock resolves it; report the best lap
     reps = 2000
@@ -163,9 +166,9 @@ def cmd_bench(args) -> int:
         cf = closed_form(inst, chi1, chi2)
         best = min(best, time.perf_counter() - t0)
     t0 = time.perf_counter()
-    val = brute_force(inst, chi1, chi2)
+    terms = brute_terms(inst, chi1, chi2)
     brute_seconds = time.perf_counter() - t0
-    match = matches_dense(cf.ring_exponent, cf.terms, val)
+    match = cf.ring_exponent == ring_exponent_for(inst.m) and cf.terms == terms
     doc = {
         "m": inst.m,
         "case": cf.case,
@@ -231,7 +234,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--k-list", dest="k_list", type=_parse_int_list, default=None,
                    help="comma-separated k values (needs --exhaustive)")
     p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="processes, this one included (default: CPU count)")
+                   help="most processes, this one included (default: CPU count): a "
+                        "block of records uses one per 2^20 priced oracle terms")
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bench", help="time closed form vs oracle on one instance")
@@ -249,7 +253,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--s1-list", dest="s1_list", type=_parse_int_list, default=())
     p.add_argument("--s2-list", dest="s2_list", type=_parse_int_list, default=())
     p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="processes, this one included (default: CPU count)")
+                   help="most processes, this one included (default: CPU count): a "
+                        "block of records uses one per 2^20 priced oracle terms")
     p.set_defaults(func=cmd_grid)
     return ap
 

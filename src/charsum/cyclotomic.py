@@ -3,17 +3,18 @@
 Elements are stored on the power basis zeta^0 .. zeta^(2^(r-1) - 1) with the
 single relation zeta^(2^(r-1)) = -1.  The representation is unique, so ring
 equality is coefficient equality and "equals zero" needs no tolerance.
-Dense values (CycInt) are what the summation oracle returns; it counts into
-an array of 4-byte slots and freezes the folded counts at the end.  The
-closed form keeps sparse (exponent, coeff) term lists, and the helpers here
-compare, square, print and approximate those without densifying them.
+Values are kept sparse, as sorted (exponent, coeff) pairs with nonzero
+coefficients: the closed form's terms and the summation oracle's
+`brute_terms` have that shape, so their equality is tuple equality, and the
+helpers here square, print and approximate such terms without densifying
+them.  CycInt is the dense form, for `ClosedForm.value()` and the oracle's
+`brute_force` and `half_sum` views.
 """
 
 from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import compress, count
 
 from .frozen import Frozen
 
@@ -32,27 +33,10 @@ class CycInt(Frozen, namedtuple("CycInt", "r coeffs")):
             )
         return tuple.__new__(cls, (r, coeffs))
 
-    def to_json_dict(self) -> dict:
-        c = self.coeffs
-        # compress walks the coefficients in C and yields the nonzero ones' indices
-        return terms_json(self.r, ((j, c[j]) for j in compress(count(), c)))
-
 
 def terms_json(r: int, terms) -> dict:
     """JSON form of a ring value: its nonzero (exponent, coeff) pairs, ascending."""
     return {"ring_exponent": r, "terms": [[e, x] for e, x in terms]}
-
-
-def matches_dense(r: int, terms, dense: CycInt) -> bool:
-    """Exact sparse-against-dense equality, without densifying the sparse side.
-
-    terms are (exponent, coeff) pairs with distinct exponents and nonzero
-    coefficients, as ClosedForm.terms holds them.
-    """
-    c = dense.coeffs
-    if r != dense.r or len(c) - c.count(0) != len(terms):
-        return False
-    return all(0 <= e < len(c) and c[e] == x for e, x in terms)
 
 
 def abs2_terms(r: int, terms) -> dict[int, int]:
@@ -74,10 +58,6 @@ def abs2_terms(r: int, terms) -> dict[int, int]:
 def ring_exponent_for(m: int) -> int:
     """Ring holding both the character values mod 2^m and the eighth roots of unity."""
     return max(m - 2, 3)
-
-
-def zero(r: int) -> CycInt:
-    return CycInt(r, (0,) * (1 << (r - 1)))
 
 
 def approx_terms(r: int, terms) -> tuple[float, float]:

@@ -8,18 +8,26 @@ desk-scale memory and runtime.
 MAX_M = 30          # closed-form evaluation refuses larger moduli
 # time policy: the oracle builds and folds a 2^(m-2)-slot count vector of
 # 4-byte slots, each holding at most 2^(m-1) terms, so m <= 31 keeps them
-# in range; `eval --method both --k 13` takes 0.93-1.03 s at m = 26 and peaks
-# at 157 MB RSS, with or without --c1 1 (2-vCPU VM)
+# in range; `eval --method both --k 13` takes 0.15-0.18 s at m = 26 and peaks
+# at 80 MB RSS, with --c1 1 or --k 2 as well (2-vCPU VM)
 MAX_ORACLE_M = 26
 # time policy for check and grid: the oracle terms a sweep may sum in total,
-# 1.2-2 minutes at the 17-27 ns per term the oracle takes at m = 14..22
-# (2-vCPU VM); each record's fixed cost is charged on top, as below
+# priced by record_terms; the oracle takes 0.6-1.3 ns per term at
+# m = 16..24 (2-vCPU VM), so there 2^32 terms are seconds, and at small m
+# each record's fixed cost, charged as below, dominates
 MAX_SWEEP_TERMS = 1 << 32
 # what a sweep charges each record for its fixed cost (closed form, compare,
-# harness), in oracle terms: a record at m = 3 took 13 us in `run_check` with
-# jobs 1, and the oracle 16-23 ns per term at m = 16..22 (2-vCPU VM), so one
-# record costs 570-820 terms, rounded up to 2^10
+# harness), in oracle terms: when this was set, a record at m = 3 took 13 us
+# in `run_check` with jobs 1 and the oracle 16-23 ns per term at m = 16..22,
+# so 570-820 terms, rounded up to 2^10.  A record at m = 3 now takes about
+# 20 us, worth 10^4 or more of today's terms at m = 16..24, so the price
+# charges large-m records about 10x more than small-m ones for their time
 RECORD_COST_TERMS = 1 << 10
+
+
+def record_terms(m: int) -> int:
+    """A sweep record's price in oracle terms: its 2^(m-1) terms and its fixed cost."""
+    return (1 << (m - 1)) + RECORD_COST_TERMS
 
 
 class WidthCapError(Exception):

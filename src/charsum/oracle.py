@@ -7,10 +7,14 @@ discrete logs (the split log below), never `dlog5` or `char_exp`.
 Every odd x mod 2^m is +-5^gamma for gamma = 0..2^(m-2)-1.  For odd k the
 x = -5^gamma half of the sum is the x = +5^gamma half with -A in place of A,
 times chi1(-1); for even k the two halves feed the same inner argument, so
-one half is counted with weight 1 + chi1(-1).  So `brute_force` and
+one half is counted with weight 1 + chi1(-1).  So `brute_terms` and
 `half_sum` both run one loop, `_counts`, over gamma: it counts the weighted
-terms on each full exponent in Z/2^r, into 4-byte slots, and `_sum` folds the
-counts onto the power basis once at the end.
+terms on each full exponent in Z/2^r, into 4-byte slots, and `_fold` folds the
+counts onto the power basis once at the end, slot e less slot e + 2^(r-1).
+The fold compares every slot pair, a range of pairs at a time, and keeps only
+the nonzero differences, as sorted (exponent, coeff) terms: the shape of the
+closed form's terms, so no dense vector is built to compare them.
+`brute_force` and `half_sum` are dense `CycInt` views of such terms.
 
 Parity hoist: for odd x the inner argument A*x^k + B is A + B mod 2, so an
 even A + B makes the sum zero outright, and otherwise every argument is odd.
@@ -44,14 +48,21 @@ from __future__ import annotations
 
 from array import array
 from functools import lru_cache
-from itertools import islice
+from itertools import compress
 from operator import sub
 
 from .characters import Character, SumInstance
-from .cyclotomic import CycInt, ring_exponent_for, zero
+from .cyclotomic import CycInt, ring_exponent_for
 from .errors import MAX_ORACLE_M, WidthCapError
 
 _Halves = tuple[tuple[int, int], ...]  # (a_res, base) pairs, as _counts reads them
+_Terms = tuple[tuple[int, int], ...]  # (exponent, coeff) pairs, as ClosedForm.terms holds them
+
+# _fold's ranges: one of at most _SPAN slot pairs is compared in one step (so
+# a comparison copies at most 2 * 64 KB), and a differing one of at most
+# _LEAF pairs is subtracted slot by slot
+_SPAN = 1 << 14
+_LEAF = 32
 
 
 @lru_cache(maxsize=None)  # keyed by m <= MAX_ORACLE_M, 2^(h-1) entries each
@@ -163,20 +174,54 @@ def _counts(
     return cnt
 
 
+def _fold(cnt: array, half: int) -> _Terms:
+    """The nonzero cnt[e] - cnt[e + half] for e < half, as (e, coeff) pairs by
+    ascending e: the count vector folded onto the power basis.
+
+    The slot ranges [a, b) are taken depth first, lowest first, from [0, half).
+    A range of at most _SPAN pairs is compared with its image [a + half,
+    b + half) in one C-level array comparison, and folds to nothing if they
+    are equal.  A range that differs, or is wider than _SPAN, is halved; a
+    differing range of at most _LEAF pairs is subtracted slot by slot instead.
+    So every slot pair is compared exactly, and no range is dropped without an
+    equality test or assumed to hold zeros.
+    """
+    terms: list[tuple[int, int]] = []
+    todo = [(0, half)]
+    while todo:
+        a, b = todo.pop()
+        if b - a <= _SPAN and cnt[a:b] == cnt[a + half : b + half]:
+            continue
+        if b - a <= _LEAF:
+            diff = list(map(sub, cnt[a:b], cnt[a + half : b + half]))
+            terms += zip(compress(range(a, b), diff), filter(None, diff))
+        else:
+            mid = (a + b) >> 1
+            todo += (mid, b), (a, mid)
+    return tuple(terms)
+
+
 def _sum(
     inst: SumInstance, chi1: Character, chi2: Character, halves: _Halves, weight: int
-) -> CycInt:
+) -> _Terms:
     """weight * the sum over halves: _counts' weighted count vector, folded onto the power basis."""
-    r = ring_exponent_for(inst.m)
     if weight == 0 or (inst.A + inst.B) % 2 == 0:
-        return zero(r)
+        return ()
     cnt = _counts(inst, chi1, chi2, halves, weight)
-    half = 1 << (r - 1)
-    return CycInt(r, tuple(map(sub, islice(cnt, half), islice(cnt, half, None))))
+    return _fold(cnt, len(cnt) >> 1)
 
 
-def brute_force(inst: SumInstance, chi1: Character, chi2: Character) -> CycInt:
-    """The sum, term by term, as an exact element of Z[zeta_{2^r}]."""
+def _dense(m: int, terms: _Terms) -> CycInt:
+    r = ring_exponent_for(m)
+    coeffs = [0] * (1 << (r - 1))
+    for e, x in terms:
+        coeffs[e] = x
+    return CycInt(r, tuple(coeffs))
+
+
+def brute_terms(inst: SumInstance, chi1: Character, chi2: Character) -> _Terms:
+    """The sum, term by term, as its nonzero (exponent, coeff) pairs in
+    Z[zeta_{2^r}], r = ring_exponent_for(m), by ascending exponent."""
     _check_cap(inst.m)
     if inst.k % 2 == 0:
         # x = -5^gamma feeds the same inner argument as x = +5^gamma
@@ -186,9 +231,14 @@ def brute_force(inst: SumInstance, chi1: Character, chi2: Character) -> CycInt:
     return _sum(inst, chi1, chi2, ((inst.A, 0), (minus_a, flip1)), 1)
 
 
+def brute_force(inst: SumInstance, chi1: Character, chi2: Character) -> CycInt:
+    """The sum, term by term, as an exact element of Z[zeta_{2^r}]: brute_terms, dense."""
+    return _dense(inst.m, brute_terms(inst, chi1, chi2))
+
+
 def half_sum(inst: SumInstance, chi1: Character, chi2: Character, sign: int = 1) -> CycInt:
     """sum over gamma = 1..2^(m-2) of chi1(5^gamma) chi2(sign*A*5^(gamma k) + B)."""
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     _check_cap(inst.m)
-    return _sum(inst, chi1, chi2, ((sign * inst.A % (1 << inst.m), 0),), 1)
+    return _dense(inst.m, _sum(inst, chi1, chi2, ((sign * inst.A % (1 << inst.m), 0),), 1))

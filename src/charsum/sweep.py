@@ -2,11 +2,12 @@
 
 A record is the flat tuple (m, A, B, k, c1, s1, c2, s2).  Comparing a record
 (`_compare`) means evaluating the closed form, summing the oracle, and
-comparing the closed form's sparse terms against the oracle's dense
-coefficients (no second dense vector is built).  Its two sinks take records
-lazily, one block of _BLOCK at a time: `run_check` adds up a report (and
-checks Large-regime results' squared magnitude, a sparse product of the
-matched terms, against the regime formula), `write_grid` writes CSV rows.
+comparing the closed form's ring and sparse terms with the oracle's
+(`brute_terms`; no dense vector is built on either side).  Its two sinks
+take records lazily, one block of _BLOCK at a time: `run_check` adds up a
+report (and checks Large-regime results' squared magnitude, a sparse product
+of the matched terms, against the regime formula), `write_grid` writes CSV
+rows.
 Sampling is seeded and single-streamed, so reports are reproducible and
 independent of the worker count.  `sample_records` yields its records one at
 a time, as `exhaustive_records` does, rotating through aimed case shapes;
@@ -15,10 +16,12 @@ draw their shared root shape (A, k, c1 = 2^(n+t) * odd, an odd c2) in one
 place, `_root_shape`.  The benchmark's pinned inputs come from this
 sampler, so a change to it must keep every draw and its order.
 
-Each block goes through `_pool_map`: cut into `jobs` contiguous parts, the
-calling process computes the first itself and one child process computes each
-of the others.  Each child sends back its result or its exception over a
-pipe; the exception is re-raised in the caller with its type unchanged (so an
+Each block goes through `_pool_map`: it gets one process per FORK_TERMS of
+its priced oracle terms, up to `jobs`, so a small block starts no child, and
+it is cut into contiguous parts, one per process; the calling process
+computes the first itself and one child process computes each of the others.
+Each child sends back its result or its exception over a pipe; the
+exception is re-raised in the caller with its type unchanged (so an
 AssertionError stays an internal error), and a child that dies without
 answering raises RuntimeError.  No child outlives the call.
 """
@@ -34,9 +37,10 @@ from collections.abc import Iterable, Iterator
 from itertools import islice
 
 from .characters import Character, SumInstance
-from .cyclotomic import abs2_terms, matches_dense
+from .cyclotomic import abs2_terms, ring_exponent_for
+from .errors import record_terms
 from .evaluator import CASE_LARGE_EVEN, CASE_LARGE_ODD, characteristic_value, closed_form
-from .oracle import brute_force
+from .oracle import brute_terms
 from .ring2adic import v2
 
 Record = tuple[int, int, int, int, int, int, int, int]
@@ -44,6 +48,10 @@ Record = tuple[int, int, int, int, int, int, int, int]
 DEFAULT_KS = (1, 2, 3, 4, 6, 8, 12)
 
 _BLOCK = 1 << 16  # records per block: a sweep holds one block and its results
+# priced oracle terms (errors.record_terms) per process of a block: a child
+# takes milliseconds to start, and `run_check` on 2 processes first beat 1
+# between 2.1M and 2.7M priced terms (2-vCPU VM; README, "Performance notes")
+FORK_TERMS = 1 << 20
 
 
 class CheckReport:
@@ -89,9 +97,10 @@ def _compare(rec: Record) -> tuple:
     t0 = time.perf_counter()
     cf = closed_form(inst, chi1, chi2)
     t1 = time.perf_counter()
-    want = brute_force(inst, chi1, chi2)
+    want = brute_terms(inst, chi1, chi2)
     t2 = time.perf_counter()
-    return cf, matches_dense(cf.ring_exponent, cf.terms, want), t1 - t0, t2 - t1
+    match = cf.ring_exponent == ring_exponent_for(m) and cf.terms == want
+    return cf, match, t1 - t0, t2 - t1
 
 
 def _check_chunk(recs: list[Record]) -> tuple:
@@ -132,19 +141,25 @@ def _worker(func, part: list[Record], conn) -> None:
 def _pool_map(func, records: list[Record], jobs: int) -> list:
     """func over contiguous parts of records, results in record order.
 
-    The records are cut into at most `jobs` contiguous parts of equal size
-    (the last one shorter).  This process computes part 0 itself and child p
-    computes part p, so `jobs` counts this process and no child starts
-    without records.  Each child sends back one message on its own pipe: its
+    `jobs` is an upper bound on the processes, this one included.  The block
+    gets one process per FORK_TERMS of its records' price (errors.record_terms,
+    the price the CLI's size gate charges), at least one and at most `jobs` or
+    one per record.  The records are cut into that many contiguous parts of
+    equal size (the last one shorter, and fewer parts if they run out); this
+    process computes part 0 itself and child p computes part p, so no child
+    starts without records.  Each child sends back one message on its own pipe: its
     result, or the exception it raised, which is re-raised here with its type
     unchanged.  A child that exits without a message raises RuntimeError
     naming it and its exit code.  On any error the remaining children are
     terminated and joined before the exception propagates.
 
-    Small or single-job runs stay in this process; only a real fan-out
+    A block priced at one process is computed here; only a real fan-out
     imports multiprocessing, so processes that never fork do not pay for it.
     """
-    if jobs <= 1 or len(records) < 64:
+    if jobs > 1:
+        priced = sum(record_terms(rec[0]) for rec in records)
+        jobs = min(jobs, len(records), priced // FORK_TERMS)
+    if jobs <= 1:
         return [func(records)]
     import multiprocessing
 
@@ -193,8 +208,11 @@ def run_check(
 ) -> CheckReport:
     """Compare closed form and oracle over the records, optionally in parallel.
 
-    jobs defaults to the CPU count.  Results are merged order-insensitively,
-    so the report does not depend on the worker count.
+    jobs, the most processes a block may use (this one included), defaults to
+    the CPU count; a block starts a child only for each FORK_TERMS of its
+    priced oracle terms beyond the first (`_pool_map`), and the report keeps
+    the requested jobs.  Results are merged order-insensitively, so the
+    report does not depend on the worker count.
     """
     jobs = jobs or os.cpu_count() or 1
     report = CheckReport(seed, jobs)

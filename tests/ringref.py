@@ -1,7 +1,7 @@
 """Dense reference algebra for the tests.
 
-The package itself works on sparse term lists and compares them against the
-oracle's dense vectors without ever multiplying ring elements, and rewrites
+The package itself works on sparse term lists, compares them with the
+oracle's sparse terms without ever multiplying ring elements, and rewrites
 characters through their fields (s, c) without an algebra on them.  The tests
 need more: products, conjugates, sqrt(2), character values as ring elements,
 the principal and mod-4 sign characters, a primitivity test, the character
@@ -16,7 +16,7 @@ enumeration.  Those references live here.
 from __future__ import annotations
 
 from charsum.characters import Character, char_exp
-from charsum.cyclotomic import CycInt, ring_exponent_for, zero
+from charsum.cyclotomic import CycInt, ring_exponent_for
 from charsum.evaluator import (
     CASE_ZERO_IMPRIMITIVE,
     CASE_ZERO_PARITY,
@@ -117,6 +117,10 @@ def normalize_ref(inst: SumInstance, chi1: Character, chi2: Character) -> Normal
         chi2 = induced(chi2, mp)
         mod = 1 << mp
         inst = SumInstance(mp, inst.A % mod, inst.B % mod, inst.k)
+
+
+def zero(r: int) -> CycInt:
+    return CycInt(r, (0,) * (1 << (r - 1)))
 
 
 def from_int(n: int, r: int) -> CycInt:

@@ -3,7 +3,6 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from charsum.characters import Character, char_exp
-from charsum.cyclotomic import zero
 from ringref import (
     char_conj,
     char_mul,
@@ -17,6 +16,7 @@ from ringref import (
     principal,
     root_of_unity,
     sign_mod4,
+    zero,
 )
 
 

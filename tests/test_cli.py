@@ -11,9 +11,10 @@ from pathlib import Path
 import pytest
 
 import charsum.cli
+import charsum.oracle
 import charsum.sweep
 from charsum.cli import build_parser, main
-from charsum.cyclotomic import ring_exponent_for, zero
+from charsum.cyclotomic import ring_exponent_for
 from charsum.evaluator import ClosedForm
 from charsum.sweep import GRID_HEADER, CheckReport
 
@@ -67,6 +68,21 @@ def test_eval_single_method_skips_compare(capsys):
     assert "oracle" not in doc and "match" not in doc
 
 
+def test_eval_closed_does_not_import_the_oracle():
+    script = (
+        "import sys; from charsum.cli import main; code = main(sys.argv[1:]); "
+        "print('charsum.oracle' in sys.modules); sys.exit(code)"
+    )
+    src = os.path.dirname(os.path.dirname(charsum.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, "eval", "--m", "20", "--method", "closed"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False", proc.stdout[-200:]
+
+
 def test_eval_closed_at_largest_m_is_small(capsys):
     code, out = run_cli(capsys, "eval", "--m", "30", "--method", "closed")
     assert code == 0
@@ -96,8 +112,8 @@ def test_nonpositive_jobs_exit_2(capsys, argv):
 
 
 def test_mismatch_exit_1(capsys, monkeypatch):
-    # no honest mismatch exists, so fake the oracle to exercise the exit path
-    monkeypatch.setattr(charsum.cli, "brute_force", lambda inst, c1, c2: zero(5))
+    # no honest mismatch exists, so fake the oracle (zero) to exercise the exit path
+    monkeypatch.setattr(charsum.oracle, "brute_terms", lambda inst, c1, c2: ())
     code, out = run_cli(
         capsys, "eval", "--m", "7", "--A", "2", "--B", "1", "--k", "1",
         "--c1", "2", "--c2", "1", "--method", "both",
@@ -316,14 +332,15 @@ def _child_peak_rss(prelude, *argv):
 
 
 @posix_only
-def test_oracle_costs_at_most_10_bytes_per_count_slot():
+def test_oracle_costs_at_most_6_bytes_per_count_slot():
     # `both` differs from `closed` by the oracle: its 2^r-slot count vector,
-    # 4 bytes a slot, and the folded value; 8-byte slots would exceed the bound
+    # 4 bytes a slot, and its sparse terms; 8-byte slots, or a dense folded
+    # value (8 bytes a pointer on half the slots), would exceed the bound
     argv = ["eval", "--m", "22", "--k", "13", "--method"]
     code_both, both = _child_peak_rss("", *argv, "both")
     code_closed, closed = _child_peak_rss("", *argv, "closed")
     assert code_both == code_closed == 0
-    assert both - closed <= 10 * (1 << ring_exponent_for(22)), (both, closed)
+    assert both - closed <= 6 * (1 << ring_exponent_for(22)), (both, closed)
 
 
 @posix_only
@@ -373,8 +390,10 @@ def test_check_small_sweep(capsys):
     assert sum(doc["tag_counts"].values()) == 300
 
 
-def test_check_deterministic_across_jobs(capsys):
-    # 203 records: not a multiple of 2 or 3, so the last part is shorter
+def test_check_deterministic_across_jobs(capsys, monkeypatch):
+    # 203 records: not a multiple of 2 or 3, so the last part is shorter; a
+    # one-term fork price makes jobs 2 and 3 fan out
+    monkeypatch.setattr(charsum.sweep, "FORK_TERMS", 1)
     docs = []
     for jobs in ("1", "2", "3"):
         code, out = run_cli(
@@ -402,10 +421,10 @@ def _grid_text(records, jobs):
 
 
 def _blocks_of_70(monkeypatch):
-    """Cuts sweeps into blocks of 70 records and returns the list that
-    receives, per block, how many parts _pool_map cut it into: one per
-    process.  203 records make blocks of 70, 70 and 63, and the last one is
-    below the 64-record floor, so only the first two fan out."""
+    """Cuts sweeps into blocks of 70 records, prices a block's fan-out at one
+    term per process, so that every block uses every job, and returns the
+    list that receives, per block, how many parts _pool_map cut it into: one
+    per process.  203 records make blocks of 70, 70 and 63."""
     real = charsum.sweep._pool_map
     parts = []
 
@@ -415,6 +434,7 @@ def _blocks_of_70(monkeypatch):
         return results
 
     monkeypatch.setattr(charsum.sweep, "_BLOCK", 70)
+    monkeypatch.setattr(charsum.sweep, "FORK_TERMS", 1)
     monkeypatch.setattr(charsum.sweep, "_pool_map", watched)
     return parts
 
@@ -431,7 +451,7 @@ def test_grid_rows_identical_across_jobs(monkeypatch):
     for jobs in (1, 2, 3):
         parts.clear()
         assert _grid_text(iter(records), jobs) == want
-        assert parts == [jobs, jobs, 1]
+        assert parts == [jobs, jobs, jobs]
 
 
 def test_check_report_identical_across_blocks(monkeypatch):
@@ -442,7 +462,7 @@ def test_check_report_identical_across_blocks(monkeypatch):
     for jobs in (1, 2, 3):
         parts.clear()
         assert _check_doc(iter(records), jobs) == want
-        assert parts == [jobs, jobs, 1]
+        assert parts == [jobs, jobs, jobs]
 
 
 def test_exhaustive_records_are_lazy():
@@ -531,7 +551,8 @@ fork_only = pytest.mark.skipif(
     (_exit_in_child, RuntimeError, r"sweep worker 1 \(pid \d+\) exited with code 3 "),
     (_fail_in_parent, AssertionError, "planted failure in the calling process"),
 ], ids=["child-raises", "child-exits", "parent-raises"])
-def test_pool_map_error_stops_every_child(func, exc, match):
+def test_pool_map_error_stops_every_child(monkeypatch, func, exc, match):
+    monkeypatch.setattr(charsum.sweep, "FORK_TERMS", 1)  # 64 records fan out
     records = list(charsum.sweep.sample_records(3, 6, 6, 64))
     t0 = time.monotonic()
     with pytest.raises(exc, match=match):
@@ -544,6 +565,7 @@ def test_pool_map_error_stops_every_child(func, exc, match):
 @fork_only
 def test_check_exits_5_on_worker_assertion(capsys, monkeypatch):
     monkeypatch.setattr(charsum.sweep, "_check_chunk", _fail_in_child)
+    monkeypatch.setattr(charsum.sweep, "FORK_TERMS", 1)  # 100 records fan out
     code = main(["check", "--m-min", "6", "--m-max", "6", "--samples", "100", "--jobs", "2"])
     captured = capsys.readouterr()
     assert code == 5
@@ -573,12 +595,13 @@ def test_grid_exits_5_on_worker_assertion(capsys, monkeypatch, tmp_path):
     assert multiprocessing.active_children() == []
 
 
-def test_pool_map_starts_no_child_without_a_chunk(monkeypatch):
+@pytest.fixture
+def inline_processes(monkeypatch):
+    """Runs each child's share of a _pool_map in this process, and returns
+    the list that receives the size of each part handed to a child."""
     started = []
 
     class InlineProcess:
-        """Runs the child's share in this process and records the start."""
-
         def __init__(self, target, args, daemon):
             self.target, self.args = target, args
 
@@ -593,9 +616,59 @@ def test_pool_map_starts_no_child_without_a_chunk(monkeypatch):
             pass
 
     monkeypatch.setattr(multiprocessing, "Process", InlineProcess)
+    return started
+
+
+def test_pool_map_starts_no_child_without_a_chunk(monkeypatch, inline_processes):
+    monkeypatch.setattr(charsum.sweep, "FORK_TERMS", 1)
+    records = list(charsum.sweep.sample_records(3, 3, 3, 64))
     # 64 records at jobs = 100 make 64 one-record parts: 63 children, one part each
-    assert charsum.sweep._pool_map(len, list(range(64)), 100) == [1] * 64
-    assert started == [1] * 63
+    assert charsum.sweep._pool_map(len, records, 100) == [1] * 64
+    assert inline_processes == [1] * 63
+
+
+@pytest.mark.parametrize("n, m, jobs, procs", [
+    # at m = 11 a record is priced 2^10 + 2^10 terms, so 512 records make FORK_TERMS
+    (511, 11, 4, 1), (512, 11, 4, 1), (1023, 11, 4, 1), (1024, 11, 4, 2),
+    (1535, 11, 4, 2), (1536, 11, 4, 3), (2047, 11, 4, 3), (2048, 11, 4, 4),
+    (2560, 11, 4, 4),  # capped at jobs
+    (4096, 11, 1, 1),  # jobs 1 never prices
+    (3, 26, 8, 3),  # capped at one process per record
+])
+def test_pool_map_uses_one_process_per_fork_terms(inline_processes, n, m, jobs, procs):
+    records = [(m, 2, 1, 1, 1, 1, 1, 1)] * n
+    sizes = charsum.sweep._pool_map(len, records, jobs)
+    assert len(sizes) == procs and sum(sizes) == n
+    assert inline_processes == sizes[1:]
+
+
+def test_verify_batch_stays_in_one_process(inline_processes):
+    # a verify-sweep batch: 14 records at each m = 6..14, 0.36M priced terms
+    records = [r for m in range(6, 15) for r in charsum.sweep.sample_records(m, m, m, 14)]
+    report = charsum.sweep.run_check(records, jobs=2)
+    assert report.ok() and report.instances_checked == 126 and report.jobs == 2
+    assert inline_processes == []
+
+
+@pytest.mark.parametrize("ring, terms", [
+    (5, ((4, 16), (12, 16))),  # one coefficient negated
+    (5, ((5, -16), (12, 16))),  # one term moved by one exponent step
+    (5, ((4, -16), (12, -16))),  # the value turned a quarter (times i): same magnitude
+    (5, ((12, 16),)),  # one term dropped
+    (5, ((4, -16), (7, 1), (12, 16))),  # one term added
+    (5, ((4, -32), (12, 32))),  # every coefficient doubled
+    (6, ((4, -16), (12, 16))),  # the right terms in the wrong ring
+    (5, ()),  # zero
+], ids=["negated", "moved", "quarter-turn", "dropped", "added", "doubled", "ring", "zero"])
+def test_compare_rejects_each_kind_of_wrong_value(monkeypatch, ring, terms):
+    # a LargeOdd record worth -16 zeta^4 + 16 zeta^12 in Z[zeta_32]; its
+    # closed form is replaced by a wrong value and compared with the real oracle
+    rec = (7, 28, 115, 15, 4, 1, 25, -1)
+    cf, match, _, _ = charsum.sweep._compare(rec)
+    assert match and cf.ring_exponent == 5 and cf.terms == ((4, -16), (12, 16))
+    wrong = cf._replace(ring_exponent=ring, terms=terms)
+    monkeypatch.setattr(charsum.sweep, "closed_form", lambda *args: wrong)
+    assert charsum.sweep._compare(rec)[1] is False
 
 
 def test_check_flags_wrong_magnitude(capsys, monkeypatch):
@@ -611,7 +684,7 @@ def test_check_flags_wrong_magnitude(capsys, monkeypatch):
         )
 
     monkeypatch.setattr(charsum.sweep, "closed_form", doubled)
-    monkeypatch.setattr(charsum.sweep, "brute_force", lambda *args: doubled(*args).value())
+    monkeypatch.setattr(charsum.sweep, "brute_terms", lambda *args: doubled(*args).terms)
     code, out = run_cli(
         capsys, "check", "--m-min", "6", "--m-max", "8",
         "--samples", "60", "--seed", "5", "--jobs", "1",
@@ -642,8 +715,10 @@ def test_check_reports_exactly_the_wrong_records(capsys, monkeypatch, jobs):
         )
 
     monkeypatch.setattr(charsum.sweep, "closed_form", wrong_on_bad)
-    # blocks of 100 records, each fanned out at jobs = 2, and a last block of 3
+    # blocks of 100 records, each fanned out at jobs = 2 (one term per
+    # process), and a last block of 3
     monkeypatch.setattr(charsum.sweep, "_BLOCK", 100)
+    monkeypatch.setattr(charsum.sweep, "FORK_TERMS", 1)
     want = sorted(r for r in records if r in bad)
     report = charsum.sweep.run_check(iter(records), jobs=jobs)
     assert report.instances_checked == 203
@@ -661,7 +736,8 @@ def test_check_reports_exactly_the_wrong_records(capsys, monkeypatch, jobs):
 @pytest.mark.parametrize("sink", ["check", "grid"])
 @pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=fork_only)])
 def test_sweep_reads_at_most_one_block_ahead(monkeypatch, sink, jobs):
-    # blocks of 64 records, the fewest that fan out at jobs = 2, and a last block of 32
+    # blocks of 64 records, each fanned out at jobs = 2 (one term per
+    # process), and a last block of 32
     records = list(charsum.sweep.sample_records(9, 6, 9, 224))
     pulled = 0
 
@@ -679,6 +755,7 @@ def test_sweep_reads_at_most_one_block_ahead(monkeypatch, sink, jobs):
         return real(func, block, jobs)
 
     monkeypatch.setattr(charsum.sweep, "_BLOCK", 64)
+    monkeypatch.setattr(charsum.sweep, "FORK_TERMS", 1)
     monkeypatch.setattr(charsum.sweep, "_pool_map", watched)
     if sink == "check":
         assert charsum.sweep.run_check(counting(), jobs=jobs).instances_checked == 224
@@ -765,8 +842,8 @@ def test_grid_csv(tmp_path, capsys):
 
 
 def test_grid_counts_mismatches(tmp_path, capsys, monkeypatch):
-    # no honest mismatch exists, so fake the oracle: every nonzero row mismatches
-    monkeypatch.setattr(charsum.sweep, "brute_force", lambda inst, c1, c2: zero(3))
+    # no honest mismatch exists, so fake the oracle (zero): every nonzero row mismatches
+    monkeypatch.setattr(charsum.sweep, "brute_terms", lambda inst, c1, c2: ())
     out_path = tmp_path / "grid.csv"
     code, out = run_cli(
         capsys, "grid", "--m", "5", "--out", str(out_path),

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from array import array
 from collections import Counter
+from operator import sub
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,19 @@ from hypothesis import strategies as st
 
 import charsum
 from charsum.characters import Character, SumInstance, char_exp
-from charsum.cyclotomic import CycInt, ring_exponent_for, zero
+from charsum.cyclotomic import CycInt, ring_exponent_for
 from charsum.errors import MAX_ORACLE_M, WidthCapError
 from charsum.evaluator import closed_form
-from charsum.oracle import _counts, _low_logs, brute_force, half_sum
+from charsum.oracle import (
+    _LEAF,
+    _SPAN,
+    _counts,
+    _fold,
+    _low_logs,
+    brute_force,
+    brute_terms,
+    half_sum,
+)
 from charsum.sweep import sample_records
 from ringref import (
     add,
@@ -29,6 +39,7 @@ from ringref import (
     principal,
     scalar_mul,
     sign_mod4,
+    zero,
 )
 
 
@@ -356,6 +367,79 @@ def test_count_vector_matches_per_x_count_on_each_half():
             # x = 5^gamma half with weight 2: every odd x, each once
             want = per_x_counts(inst, chi1, chi2, range(1, mod, 2), a)
             assert list(_counts(inst, chi1, chi2, ((a, 0),), 2)) == want, (inst, chi1, chi2)
+
+
+def _plain_fold(cnt):
+    """The count vector folded as one map(sub, ...) pass, nonzero entries kept."""
+    half = len(cnt) >> 1
+    return tuple((e, x) for e, x in enumerate(map(sub, cnt[:half], cnt[half:])) if x)
+
+
+def _differing(half, slots, base=7):
+    """A 2 * half-slot count vector whose halves differ exactly at slots."""
+    cnt = array("i", range(base, base + half)) * 2
+    for e in slots:
+        cnt[e + half] -= 1 + e % 5
+    return cnt
+
+
+_WIDE = 1 << 15  # a half wider than _SPAN, so the fold splits before comparing
+
+
+@pytest.mark.parametrize("half", [4, 32, 64, 1 << 10, _WIDE])
+@pytest.mark.parametrize("where", [
+    "first", "last", "leaf-boundary", "span-boundary", "middle", "every", "nowhere",
+])
+def test_fold_matches_plain_fold_on_hand_made_vectors(half, where):
+    slots = {
+        "first": [0],
+        "last": [half - 1],
+        "leaf-boundary": [_LEAF - 1, _LEAF],  # adjacent, in two leaves
+        "span-boundary": [_SPAN - 1, _SPAN],  # adjacent, in two compared ranges
+        "middle": [half // 2 - 1, half // 2],  # either side of the first split
+        "every": range(half),  # the dense worst case
+        "nowhere": [],
+    }[where]
+    cnt = _differing(half, [e for e in slots if e < half])
+    got = _fold(cnt, half)
+    assert got == _plain_fold(cnt)
+    assert [e for e, _ in got] == sorted(e for e in set(slots) if e < half)
+
+
+def test_fold_matches_plain_fold_on_sampled_records():
+    seen = set()
+    for rec in sample_records(19, 3, 18, 400):
+        m, a, b, k, c1, s1, c2, s2 = rec
+        if (a + b) % 2 == 0:
+            continue  # the parity hoist: no count vector
+        inst, chi1, chi2 = SumInstance(m, a, b, k), Character(m, s1, c1), Character(m, s2, c2)
+        minus = (-a % (1 << m), 1 << (ring_exponent_for(m) - 1) if s1 == -1 else 0)
+        for halves in (((a, 0),), ((a, 0), minus)):
+            cnt = _counts(inst, chi1, chi2, halves, 1)
+            want = _plain_fold(cnt)
+            assert _fold(cnt, len(cnt) >> 1) == want, rec
+            seen.add((m > 16, bool(want)))
+        if k % 2:
+            assert brute_terms(inst, chi1, chi2) == want, rec
+    assert seen == {(False, False), (False, True), (True, False), (True, True)}
+
+
+@st.composite
+def count_vectors(draw):
+    """A 2^r-slot count vector, r = 1..9, whose upper half is the lower half
+    changed on a drawn set of slots (possibly none, possibly all)."""
+    half = 1 << draw(st.integers(0, 8))
+    slot = st.integers(-(1 << 31), (1 << 31) - 1)
+    lower = draw(st.lists(slot, min_size=half, max_size=half))
+    upper = list(lower)
+    for e in draw(st.sets(st.integers(0, half - 1), max_size=half)):
+        upper[e] = draw(slot)
+    return array("i", lower + upper)
+
+
+@given(count_vectors())
+def test_fold_matches_plain_fold_on_random_vectors(cnt):
+    assert _fold(cnt, len(cnt) >> 1) == _plain_fold(cnt)
 
 
 def test_largest_slot_count_fits_the_count_vector():
