@@ -12,16 +12,17 @@ MAX_M = 30          # closed-form evaluation refuses larger moduli
 # at 80 MB RSS, with --c1 1 or --k 2 as well (2-vCPU VM)
 MAX_ORACLE_M = 26
 # time policy for check and grid: the oracle terms a sweep may sum in total,
-# priced by record_terms; the oracle takes 0.6-1.3 ns per term at
-# m = 16..24 (2-vCPU VM), so there 2^32 terms are seconds, and at small m
-# each record's fixed cost, charged as below, dominates
+# priced by record_terms; with rows as long as the 2-adic shape allows, the
+# oracle takes 0.4-1.1 ns per term at m = 16..24 on sampled records (best of
+# 3, 2-vCPU VM), so there 2^32 terms are seconds, and at small m each
+# record's fixed cost, charged as below, dominates
 MAX_SWEEP_TERMS = 1 << 32
 # what a sweep charges each record for its fixed cost (closed form, compare,
 # harness), in oracle terms: when this was set, a record at m = 3 took 13 us
 # in `run_check` with jobs 1 and the oracle 16-23 ns per term at m = 16..22,
-# so 570-820 terms, rounded up to 2^10.  A record at m = 3 now takes about
-# 20 us, worth 10^4 or more of today's terms at m = 16..24, so the price
-# charges large-m records about 10x more than small-m ones for their time
+# so 570-820 terms, rounded up to 2^10.  A record at m = 3 now takes 13-18
+# us, worth 10^4 or more of today's terms at m = 16..24, so the price
+# charges large-m records 10-40x more than small-m ones for their time
 RECORD_COST_TERMS = 1 << 10
 
 

@@ -26,22 +26,25 @@ so y*M = 1 + 2^h*z (mod 2^m).  Because 2h >= m, the group 1 + 2^h*Z/2^m is
 cyclic, generated by 5^(2^(h-2)) = 1 + 2^h*u, and the log of y is
 l + 2^(h-2) * (z * u^-1 mod 2^(m-h)).  The table has 2^12 entries at m = 26.
 
-Row split: lo = y mod 2^h depends on gamma only through 5^(gamma k) mod 2^h,
-and 5^(2^(h-2)) = 1 (mod 2^h), so only through gamma mod 2^(h-2).  Writing
-gamma = g + 2^(h-2)*j, each call builds per half one row per g, 2^(h-2) rows
-holding everything about the term that depends on g and lo alone: a
-multiplier pm and an offset q.  Along a row, 5^(gamma k) carries the factor
-v^j with v = 5^(k 2^(h-2)) = 1 (mod 2^h).  Since 2h >= m, (v - 1)^2 = 0
-(mod 2^m), so v^j = 1 + j*(v - 1) (mod 2^m) exactly: the same fact as the
-split log's, that 1 + 2^h*Z/2^m is cyclic with a linear log.  chi1's
-exponent also grows by a fixed step per j, so a row's n = 2^(m-h) term
-exponents form one arithmetic progression.  Reduced mod 2^r its step is a
-multiple of 2^(h - m + r), so the progression runs through the whole residue
-class of its start modulo lsb = step & -step (2^r for a zero step), each
-member n*lsb/2^r times.  Each row adds its counts to its residue class in one
-tally, the full 2^r-slot count vector is built from the tallies, and all of
-it is folded: no row is dropped or summed in closed form, even where its
-counts cancel in the fold.
+Row split: the sum's 2-adic shape, n = v2(A) (n = m for A = 0) and
+t = v2(k), sets the row length.  With V = ceil((m - n)/2), a row runs over
+gamma = g + P*j for one g < P, where P = 2^max(V - 2 - t, 0), so each call
+builds P <= 2^(h-2) rows per half of 2^(m-2)/P terms each.  Along a row
+5^(gamma k) carries the factor v^j with v = 5^(kP), and v2(v - 1) =
+2 + t + log2 P >= V.  Two valuation conditions follow (the linearization
+behind Postnikov's method for exponential sums mod prime powers).  First,
+n + v2(v - 1) >= ceil((m + n)/2) >= h, so A*v^j = A (mod 2^h): the inner
+argument y is fixed mod 2^h along a row, and one table lookup serves it all.
+Second, n + 2*v2(v - 1) >= m, so A*(v - 1)^2 = 0 (mod 2^m) and
+A*v^j = A*(1 + j*(v - 1)) (mod 2^m) exactly: y, and with it chi2's exponent,
+is linear in j.  chi1's exponent also grows by a fixed step per j, so a row's
+term exponents form one arithmetic progression.  Reduced mod 2^r its step is
+a multiple of 2^(log2 P + 2 - m + r), so the progression runs through the
+whole residue class of its start modulo lsb = step & -step (2^r for a zero
+step), each member (2^(m-2)/P)*lsb/2^r times.  Each row adds its counts to
+its residue class in one tally, the full 2^r-slot count vector is built from
+the tallies, and all of it is folded: no row is dropped or summed in closed
+form, even where its counts cancel in the fold.
 """
 
 from __future__ import annotations
@@ -110,21 +113,26 @@ def _counts(
     2^drop, so the sum reduced mod 2^m and shifted right by drop is the
     term's exponent in Z/2^r exactly, whatever multiple of 2^m it carried.
 
-    Row split: y mod 2^h depends on gamma only through gamma mod 2^(h-2).
-    For gamma = g + 2^(h-2)*j, each half builds one row per g, with
-    mcu = M*cu for the row's low residue:
+    Row split: with n = v2(A) (n = m for A = 0; -A has the same), t = v2(k)
+    and V = ceil((m - n)/2), let P = 2^p with p = max(V - 2 - t, 0) and
+    v = 5^(kP), so that v2(v - 1) = 2 + t + p >= V.  For gamma = g + P*j,
+    each half builds one row per g < P, with mcu = M*cu for the row's low
+    residue:
         pm = 5^(kg) * mcu,  q = B*mcu - cu + (base << drop)
                                 + ((c1*g + c2*l) << 2) + 2^(m-1)*negative,
-    and the term at j is one count at ((a_j*pm + q + j*(c1 << h)) mod 2^m)
-    >> drop, where a_j = a * v^j and v = 5^(k 2^(h-2)).  Since v = 1 (mod 2^h)
-    and 2h >= m, (v - 1)^2 = 0 (mod 2^m), so v^j = 1 + j*(v - 1) (mod 2^m)
-    exactly, and the exponents run start + j*step with
-        start = (a*pm + q) mod 2^m,  step = (a*(v - 1)*pm + (c1 << h)) mod 2^m,
-    both multiples of 2^drop; step is also one of 2^h, as v = 1 (mod 2^h).
-    Shifted right by drop, let lsb = step & -step (2^r for a zero step), a
-    power of two >= 2^(h - drop).  Mod 2^r the n = 2^(m-h) exponents repeat
-    every per = 2^r / lsb <= n terms, and per divides n, so the row puts
-    n * lsb / 2^r counts on each exponent = start (mod lsb) and none
+    and the term at j is one count at ((a_j*pm + q + j*(c1*P << 2)) mod 2^m)
+    >> drop, where a_j = a * v^j.  Two valuations make this exact.  As
+    n + v2(v - 1) >= ceil((m + n)/2) >= h, a_j = a (mod 2^h), so y mod 2^h,
+    and with it (negative, l, M), is the same for the whole row.  As
+    n + 2*v2(v - 1) >= m, a*(v - 1)^2 = 0 (mod 2^m), so a_j = a*(1 + j*(v - 1))
+    (mod 2^m) exactly, and the exponents run start + j*step with
+        start = (a*pm + q) mod 2^m,  step = (a*(v - 1)*pm + (c1*P << 2)) mod 2^m,
+    both multiples of 2^drop; step is also one of 2^(p + 2), as
+    v2(v - 1) >= p + 2.  Shifted right by drop, let lsb = step & -step (2^r
+    for a zero step), a power of two >= 2^(p + 2 - drop).  A row holds
+    per_row = 2^(m-2)/P terms; mod 2^r its exponents repeat every
+    per = 2^r / lsb <= per_row terms, and per divides per_row, so the row puts
+    per_row * lsb / 2^r counts on each exponent = start (mod lsb) and none
     elsewhere.  The row's only record is one tally under lsb | (start mod
     lsb).  Taking the classes by increasing lsb, the count vector is widened
     by repeating it (slot s of width w lands on every s + i*w) up to each
@@ -144,17 +152,20 @@ def _counts(
     c1, c2 = chi1.c, chi2.c
     cu = c2 * uinv % (1 << (m - h))
     turn2 = mod >> 1 if chi2.s == -1 else 0
+    n = (inst.A & -inst.A).bit_length() - 1 if inst.A else m  # v2(A), m for A = 0
+    t = (inst.k & -inst.k).bit_length() - 1  # v2(k)
+    p = max((m - n + 1) // 2 - 2 - t, 0)  # P = 2^p rows per half
     fk = pow(5, inst.k, mod)
-    v = pow(fk, 1 << (h - 2), mod)  # 5^(k 2^(h-2)) = 1 (mod 2^h)
-    n = 1 << (m - h)  # terms per row
-    e1 = c1 << h  # chi1's exponent step from one j to the next
+    v = pow(fk, 1 << p, mod)  # 5^(kP): v2(v - 1) = 2 + t + p
+    per_row = 1 << (m - 2 - p)  # terms per row
+    e1 = c1 << (p + 2)  # chi1's exponent step from one j to the next
     size = 1 << r
     rows: dict[int, int] = {}  # lsb | (start mod lsb) -> number of such rows
     for a, base in halves:
         off = (base << drop) - cu
         da = a * (v - 1)
         z = 1  # 5^(kg) mod 2^m
-        for g in range(1 << (h - 2)):
+        for g in range(1 << p):
             negative, l, mlo = low[(a * z + b) & hmask]
             mcu = mlo * cu
             pm = z * mcu & mmask
@@ -169,7 +180,7 @@ def _counts(
     for key in sorted(rows):
         lsb = 1 << (key.bit_length() - 1)
         cnt *= lsb // len(cnt)
-        cnt[key ^ lsb] += rows[key] * (n * lsb >> r) * weight
+        cnt[key ^ lsb] += rows[key] * (per_row * lsb >> r) * weight
     cnt *= size // len(cnt)
     return cnt
 

@@ -50,7 +50,8 @@ DEFAULT_KS = (1, 2, 3, 4, 6, 8, 12)
 _BLOCK = 1 << 16  # records per block: a sweep holds one block and its results
 # priced oracle terms (errors.record_terms) per process of a block: a child
 # takes milliseconds to start, and `run_check` on 2 processes first beat 1
-# between 2.1M and 2.7M priced terms (2-vCPU VM; README, "Performance notes")
+# between 2.1M and 2.8M priced terms in most series, and always by 4.3M
+# (2-vCPU VM shared with other tenants; README, "Performance notes")
 FORK_TERMS = 1 << 20
 
 

@@ -124,69 +124,112 @@ def test_ring_matches_small_moduli():
     assert got == from_int(-4, 3)
 
 
+def _row_log(m, n, t):
+    """log2 of the oracle's row period P at v2(A) = n (n = m for A = 0) and
+    v2(k) = t: P = 2^max(V - 2 - t, 0) with V = ceil((m - n)/2)."""
+    return max(-(-(m - n) // 2) - 2 - t, 0)
+
+
+def _shape(rng, m, n, t):
+    """(A, k) with v2(A) = n (A = 0 for n = m) and v2(k) = t, k < 2^20."""
+    a = 0 if n == m else (rng.randrange(1, 1 << m, 2) << n) % (1 << m)
+    return a, rng.randrange(1, 1 << (20 - t), 2) << t
+
+
 def test_row_step_power_is_linear_in_j():
-    # v = 5^(k 2^(h-2)) is 1 mod 2^h and v^j = 1 + j*(v - 1) mod 2^m: the
-    # identity that makes each oracle row one arithmetic progression
+    # v = 5^(kP) has v2(v - 1) = 2 + t + log2 P >= V, so along a row
+    # A*v^j = A*(1 + j*(v - 1)) (mod 2^m), and the inner argument is fixed
+    # mod 2^h: the identities that make each oracle row one arithmetic
+    # progression read with one table lookup.  Every j is tried at m <= 16
+    # on rows of at most 2^8 terms, which covers the rows of 2^(m-h) terms
+    # at P = 2^(h-2); longer rows get sampled j, 200 of them at P = 2^(h-2)
     rng = random.Random(10)
     for m in range(3, 27):
         h = _low_logs(m)[0]
-        mod, n = 1 << m, 1 << (m - h)  # n terms per row
-        if m <= 16:
-            js = range(n)
-        else:
-            js = [0, 1, 2, n - 1, *(rng.randrange(n) for _ in range(200))]
-        ks = [rng.randrange(1, 1 << 20, 2) for _ in range(3)]  # odd
-        ks += [rng.randrange(1, 1 << 12, 2) << t for t in (1, 2, 3)]
-        ks += [rng.randint(1, 9) << (m - 2)]  # x^k = 1 for every odd x
+        mod, hmask = 1 << m, (1 << h) - 1
         assert 2 * h >= m
-        for k in ks:
-            v = pow(5, k << (h - 2), mod)
-            assert v % (1 << h) == 1
-            for j in js:
-                assert pow(v, j, mod) == (1 + j * (v - 1)) % mod, (m, k, j)
+        for n in range(m + 1):
+            shapes = [_shape(rng, m, n, t) for t in range(5) for _ in range(2)]
+            a = shapes[0][0]
+            shapes.append((a, rng.randint(1, 9) << (m - 2)))  # x^k = 1 for every odd x
+            for a, k in shapes:
+                t = (k & -k).bit_length() - 1
+                p = _row_log(m, n, t)
+                assert p <= h - 2 and 2 + t + p >= -(-(m - n) // 2)
+                per_row = 1 << (m - 2 - p)
+                if m <= 16 and per_row <= 1 << 8:
+                    js = range(per_row)
+                else:
+                    extra = 200 if p == h - 2 else 24
+                    js = [0, 1, 2, per_row - 1, *(rng.randrange(per_row) for _ in range(extra))]
+                b = rng.randrange(1 - a % 2, mod, 2)
+                v = pow(5, k << p, mod)
+                assert (v - 1) % (1 << min(2 + t + p, m)) == 0
+                g = rng.randrange(1 << p)
+                y0 = (a * pow(5, k * g, mod) + b) & hmask
+                for j in js:
+                    vj = pow(v, j, mod)
+                    assert a * vj % mod == a * (1 + j * (v - 1)) % mod, (m, n, t, k, j)
+                    y = a * pow(5, k * (g + (j << p)), mod) + b
+                    assert y & hmask == y0, (m, n, t, k, g, j)
 
 
 def test_row_period_counts_equal_the_full_row():
-    # a row's exponents start + j*step (j < n), reduced mod 2^r, repeat every
-    # per = min(n, 2^r / (step & -step)) terms, and per divides n: counting
-    # the first per of them n / per times each gives the full row's counts.
-    # Every step the oracle forms is a multiple of 2^(h - drop), so with
-    # g = step & -step (2^r for a zero step) per * g = 2^r, and the row puts
-    # n * g / 2^r counts on each exponent = start (mod g) and none elsewhere
+    # a row's exponents start + j*step (j < per_row = 2^(m-2)/P), reduced
+    # mod 2^r, repeat every per = min(per_row, 2^r / (step & -step)) terms,
+    # and per divides per_row: counting the first per of them per_row / per
+    # times each gives the full row's counts.  Every step the oracle forms is
+    # a multiple of unit = 2^(log2 P + 2 - drop), so with g = step & -step
+    # (2^r for a zero step) per * g = 2^r, and the row puts per_row * g / 2^r
+    # counts on each exponent = start (mod g) and none elsewhere
     rng = random.Random(13)
     seen = set()
     for m in range(3, 27):
         r, (h, uinv, low) = ring_exponent_for(m), _low_logs(m)
-        mod, size, n, drop = 1 << m, 1 << r, 1 << (m - h), m - r
-        steps = [0, *(1 << j for j in range(r))]  # every period length
-        unit = 1 << (h - drop)
-        for _ in range(12):  # a row's step as the oracle forms it
-            a = (rng.randrange(mod) << rng.randrange(m)) % mod
-            b = rng.randrange(1 - a % 2, mod, 2)  # A + B odd
-            k = rng.randrange(1, 64) << rng.randrange(3)
-            c1 = rng.randint(1, mod >> 2) << rng.randrange(m - 2)
-            c2 = rng.randint(1, mod >> 2)
-            z = pow(5, k * rng.randrange(1 << (h - 2)), mod)
-            mlo = low[(a * z + b) & ((1 << h) - 1)][2]
-            pm = z * mlo * (c2 * uinv % (1 << (m - h))) % mod
-            v = pow(5, k << (h - 2), mod)
-            steps.append(((a * (v - 1) * pm + (c1 << h)) % mod) >> drop)
-            assert steps[-1] % unit == 0, (m, steps[-1])
-        for step in steps:
-            start = rng.randrange(size)
-            full = Counter((start + j * step) % size for j in range(n))
-            per = min(n, size // (step & -step)) if step else 1
-            assert n % per == 0
-            collapsed = Counter()
-            for j in range(per):
-                collapsed[(start + j * step) % size] += n // per
-            assert collapsed == full, (m, start, step)
-            seen.add(per < n)
-            if step % unit == 0:  # the steps the oracle can form
-                g = (step or size) & -(step or size)
-                assert per * g == size, (m, step)
-                s = start % g
-                assert full == Counter({s + i * g: n * g // size for i in range(size // g)})
+        mod, size, drop = 1 << m, 1 << r, m - r
+        formed = {}  # log2 P -> up to 12 steps the oracle formed at that period
+        for n in range(m + 1):
+            for t in range(5):
+                p = _row_log(m, n, t)
+                unit = 1 << (p + 2 - drop)
+                for _ in range(2):  # a row's step as the oracle forms it
+                    a, k = _shape(rng, m, n, t)
+                    b = rng.randrange(1 - a % 2, mod, 2)  # A + B odd
+                    c1 = rng.randint(1, mod >> 2) << rng.randrange(m - 2)
+                    c2 = rng.randint(1, mod >> 2)
+                    z = pow(5, k * rng.randrange(1 << p), mod)
+                    mlo = low[(a * z + b) & ((1 << h) - 1)][2]
+                    pm = z * mlo * (c2 * uinv % (1 << (m - h))) % mod
+                    v = pow(5, k << p, mod)
+                    step = ((a * (v - 1) * pm + (c1 << (p + 2))) % mod) >> drop
+                    assert step % unit == 0, (m, n, t, step)
+                    if len(formed.setdefault(p, [])) < 12:
+                        formed[p].append(step)
+        for p, oracle_steps in formed.items():
+            per_row, unit = 1 << (m - 2 - p), 1 << (p + 2 - drop)
+            if per_row > max(1 << 12, 1 << (m - h)):
+                # rows of 2^(m-h) terms at P = 2^(h-2) are always compared;
+                # on longer ones the step's divisibility above is the check
+                continue
+            steps = [0, *(1 << j for j in range(r))]  # every period length
+            steps += oracle_steps
+            for step in steps:
+                start = rng.randrange(size)
+                full = Counter((start + j * step) % size for j in range(per_row))
+                per = min(per_row, size // (step & -step)) if step else 1
+                assert per_row % per == 0
+                collapsed = Counter()
+                for j in range(per):
+                    collapsed[(start + j * step) % size] += per_row // per
+                assert collapsed == full, (m, p, start, step)
+                seen.add(per < per_row)
+                if step % unit == 0:  # the steps the oracle can form
+                    g = (step or size) & -(step or size)
+                    assert per * g == size, (m, p, step)
+                    s = start % g
+                    assert full == Counter(
+                        {s + i * g: per_row * g // size for i in range(size // g)}
+                    )
     assert seen == {True, False}
 
 
@@ -281,10 +324,12 @@ def test_oracle_matches_independent_reference(case):
 
 @functools.cache
 def _boundary_cases():
-    """40 seeded instances at m = 10..18 with A + B odd, cycling through the
+    """52 seeded instances at m = 10..18 with A + B odd, cycling through the
     shapes where the row split could slip: odd A (lo = y mod 2^h then runs
     through its full period, so too short a row period shows), even k with
     t = 1..3, k a multiple of 2^(m-2), a principal chi1, s2 = -1 and A = 0.
+    The last 12 have n = v2(A) >= 2, from 2 up to m - 3, with t = 0..2, where
+    rows grow to 2^(m-2)/P terms with P = 2^max(ceil((m - n)/2) - 2 - t, 0).
     Each but the A = 0 ones is redrawn until its closed form is nonzero, so
     the counts do not cancel."""
     rng = random.Random(2026)
@@ -308,10 +353,25 @@ def _boundary_cases():
             if shape == 7 or closed_form(*case).terms:
                 cases.append(case)
                 break
+    for i in range(12):
+        m = 10 + i % 8
+        mod, cmax = 1 << m, 1 << (m - 2)
+        n, t = (2, 3, 4, 6, m // 2, m - 3)[i % 6], i % 3
+        while True:
+            a = (rng.randrange(1, mod, 2) << n) % mod
+            k = rng.randrange(1, 40, 2) << t
+            b = rng.randrange(1, mod, 2)
+            s1 = 1 if t else rng.choice((1, -1))
+            chi1 = Character(m, s1, rng.randint(1, cmax))
+            chi2 = Character(m, rng.choice((1, -1)), rng.randint(1, cmax))
+            case = (SumInstance(m, a, b, k), chi1, chi2)
+            if closed_form(*case).terms:
+                cases.append(case)
+                break
     return cases
 
 
-@pytest.mark.parametrize("index", range(40))
+@pytest.mark.parametrize("index", range(52))
 def test_oracle_matches_per_x_count_at_row_boundaries(index):
     inst, chi1, chi2 = _boundary_cases()[index]
     mod = 1 << inst.m
@@ -344,11 +404,34 @@ def test_oracle_matches_per_x_count_on_full_periods_and_mixed_classes(case):
     assert half_sum(inst, chi1, chi2, -1) == counted_sum(inst, chi1, chi2, plus, mod - inst.A)
 
 
+def _shape_cases(m):
+    """Seeded (inst, chi1, chi2) at modulus m with A + B odd, one per 2-adic
+    shape: every n = v2(A) in 0..m (A = 0 for n = m) with t = v2(k) in 0..3
+    and with k a multiple of 2^(m-2).  They reach every row period of the
+    oracle at m, from one row per half to 2^(h-2).  chi1 is principal-signed
+    (s1 = 1) for even k, where brute_force weights its one half by 2."""
+    rng = random.Random(27 + m)
+    mod, cmax = 1 << m, 1 << (m - 2)
+    cases = []
+    for n in range(m + 1):
+        for t in (0, 1, 2, 3, m - 2):
+            a, k = _shape(rng, m, n, t)
+            b = rng.randrange(1 - a % 2, mod, 2)
+            s1 = 1 if t else rng.choice((1, -1))
+            chi1 = Character(m, s1, rng.randint(1, cmax))
+            chi2 = Character(m, rng.choice((1, -1)), rng.randint(1, cmax))
+            cases.append((SumInstance(m, a, b, k), chi1, chi2))
+    return cases
+
+
 def test_count_vector_matches_per_x_count_on_each_half():
     # the fold cancels counts spread evenly over a residue class mod 2^(r-1)
     # or finer, as on most rows with a nonzero step, so no folded sum sees a
-    # wrong count there: compare each half's vector before the fold
+    # wrong count there: compare each half's vector before the fold, on 400
+    # random instances and on every 2-adic shape at m = 3..12, whose row
+    # periods P = 1, 2, ..., 2^(h-2) must all be reached
     rng = random.Random(18)
+    cases = []
     for _ in range(400):
         m = rng.randint(3, 12)
         mod, cmax = 1 << m, 1 << (m - 2)
@@ -357,16 +440,66 @@ def test_count_vector_matches_per_x_count_on_each_half():
         inst = SumInstance(m, a, b, rng.randint(1, 40) << rng.randrange(4))
         chi1 = Character(m, rng.choice((1, -1)), rng.randint(1, cmax))
         chi2 = Character(m, rng.choice((1, -1)), rng.randint(1, cmax))
+        cases.append((inst, chi1, chi2))
+    for m in range(3, 13):
+        cases += _shape_cases(m)
+    periods = set()
+    for inst, chi1, chi2 in cases:
+        m, a, k = inst.m, inst.A, inst.k
+        n = (a & -a).bit_length() - 1 if a else m
+        periods.add((m, _row_log(m, n, (k & -k).bit_length() - 1)))
+        mod = 1 << m
         plus = range(1, mod, 4)  # the x = 5^gamma, each once
         for a_res in (a, -a % mod):
             want = per_x_counts(inst, chi1, chi2, plus, a_res)
             got = list(_counts(inst, chi1, chi2, ((a_res, 0),), 1))
             assert got == want, (inst, chi1, chi2, a_res)
-        if inst.k % 2 == 0 and chi1.s == 1:
+        if k % 2 == 0 and chi1.s == 1:
             # x and -x give the same term, so brute_force tallies the
             # x = 5^gamma half with weight 2: every odd x, each once
             want = per_x_counts(inst, chi1, chi2, range(1, mod, 2), a)
             assert list(_counts(inst, chi1, chi2, ((a, 0),), 2)) == want, (inst, chi1, chi2)
+    assert periods == {(m, p) for m in range(3, 13) for p in range(_low_logs(m)[0] - 1)}
+
+
+def test_counts_makes_one_table_lookup_per_row(monkeypatch):
+    # each row looks up its low residue once, so _counts makes halves * P
+    # lookups, P = 2^max(ceil((m - n)/2) - 2 - t, 0): this pins the row
+    # period to the 2-adic shape, which the count vectors alone do not see
+    lookups = []
+    real = charsum.oracle._low_logs
+
+    class CountingTable:
+        def __init__(self, tbl):
+            self.tbl = tbl
+
+        def __getitem__(self, lo):
+            lookups.append(lo)
+            return self.tbl[lo]
+
+    def counting_low_logs(m):
+        h, uinv, tbl = real(m)
+        return h, uinv, CountingTable(tbl)
+
+    monkeypatch.setattr(charsum.oracle, "_low_logs", counting_low_logs)
+    rng = random.Random(28)
+    for m in range(3, 17):
+        mod, cmax = 1 << m, 1 << (m - 2)
+        for n in range(m + 1):
+            for t in range(5):
+                a, k = _shape(rng, m, n, t)
+                inst = SumInstance(m, a, rng.randrange(1 - a % 2, mod, 2), k)
+                chi1 = Character(m, rng.choice((1, -1)), rng.randint(1, cmax))
+                chi2 = Character(m, rng.choice((1, -1)), rng.randint(1, cmax))
+                for halves in (((a, 0),), ((a, 0), (-a % mod, 1))):
+                    lookups.clear()
+                    _counts(inst, chi1, chi2, halves, 1)
+                    assert len(lookups) == len(halves) << _row_log(m, n, t), (inst, halves)
+    # criterion 8's instance (n = 1, t = 0) keeps 2^(h-2) rows per half, so
+    # the oracle/closed ratio that criterion bounds stays where it was
+    lookups.clear()
+    brute_terms(SumInstance(24, 2, 1, 1), Character(24, 1, 2), Character(24, 1, 1))
+    assert len(lookups) == 2 << (real(24)[0] - 2) == 2 << 10
 
 
 def _plain_fold(cnt):
