@@ -29,7 +29,7 @@ from .characters import Character, SumInstance, char_exp
 from .cyclotomic import CycInt, abs2_terms, approx_terms, ring_exponent_for, terms_json
 from .errors import MAX_M
 from .frozen import Frozen
-from .ring2adic import dlog5, five_pow_cofactor, jacobi2
+from .ring2adic import cofactor_ratio, dlog5, jacobi2
 
 CASE_ZERO_PARITY = "ZeroParity"
 CASE_ZERO_IMPRIMITIVE = "ZeroImprimitive"
@@ -224,12 +224,10 @@ def derive(inst: SumInstance) -> DerivedParams:
     m_exp = ((m + n) >> 1) + t
     if d < t + 2:
         return DerivedParams(n, t, k1, None, None, REGIME_TINY)
-    if d == t + 2:
-        return DerivedParams(n, t, k1, t + 2, m_exp, REGIME_EDGE_T2)
-    if d == t + 3:
-        return DerivedParams(n, t, k1, t + 2, m_exp, REGIME_EDGE_T3)
     if d <= 2 * t + 4:
-        return DerivedParams(n, t, k1, t + 2, m_exp, REGIME_MIDRANGE)
+        # EdgeT2 and EdgeT3 only tag MidRange's rows m - n = t + 2 and t + 3
+        regime = (REGIME_EDGE_T2, REGIME_EDGE_T3, REGIME_MIDRANGE)[min(d - t - 2, 2)]
+        return DerivedParams(n, t, k1, t + 2, m_exp, regime)
     return DerivedParams(n, t, k1, (d + 1) >> 1, m_exp, REGIME_LARGE)
 
 
@@ -239,9 +237,7 @@ def derive(inst: SumInstance) -> DerivedParams:
 def _c_affine(inst: SumInstance, c1: int, c2: int, N: int, n: int, w: int) -> tuple[int, int, int]:
     """C(x) mod 2^w as const + coef * x^k: returns (const, coef, 2^w)."""
     mod = 1 << w
-    rn = five_pow_cofactor(N, w)
-    rnn_inv = pow(five_pow_cofactor(N + n, w), -1, mod)
-    coef = (c1 * inst.A + c2 * inst.A * inst.k % mod * rn * rnn_inv) % mod
+    coef = (c1 * inst.A + c2 * inst.A * inst.k % mod * cofactor_ratio(N, n, w)) % mod
     return c1 * inst.B % mod, coef, mod
 
 
@@ -362,18 +358,17 @@ def evaluate_small(
 ) -> ClosedForm:
     """m - n <= 2t + 4 (A = 0 included): the sum collapses onto x = +-1.
 
-    Each regime only decides which witnesses survive: x = +1 with weight
-    2^(m-1) when x = -1 repeats its term, otherwise x = +1, x = -1 or both,
-    each with weight 2^(m-2).  Below the edge (m - n < t + 2) A x^k + B is
-    constant on odd x and only the principal chi1 survives.  Elsewhere the
-    global necessities apply: chi1(-1) = 1 when k is even, and chi1's
-    parameter carries the exact power 2^(n+t).  At the m - n = t + 2 edge
-    that means chi1 is the principal character (k even) or the mod-4 sign
-    character (k odd); at m - n = t + 3 it pins the parameter to 2^(m-3);
-    in between the characteristic values at +-1 decide, and never both.
-    Tiny and the edge are decided from chi1's two fields: the principal
-    character is s = 1, c = 2^(m-2), the mod-4 sign s = -1, c = 2^(m-2).
-    params is derive(inst).
+    Surviving witnesses weigh 2^(m-2) each, or x = +1 alone 2^(m-1) where
+    x = -1 repeats its term.  Below the edge (m - n < t + 2) A x^k + B is
+    constant on odd x and only the principal chi1 survives.  Above it,
+    chi1(-1) = 1 when k is even, and x = +-1 survives when C(+-1) = 0 mod
+    2^(m-2).  That test covers the edge rows too.  At m - n = t + 2, A k has
+    valuation m - 2, so C(+-1) = c1 (B +- A) forces c1 = 2^(m-2); for odd k
+    both witnesses pass, and B - A = (B + A) 5^(2^(m-3)) mod 2^m gives
+    chi2(B - A) = -chi2(B + A), so only s1 = -1 survives.  At m - n = t + 3
+    the two halves of C(+-1) are odd multiples of 2^(m-3), and they sum to
+    0 exactly when c1 = 2^(m-3).  Above the edge rows C(+1) and C(-1) never
+    vanish together.  params is derive(inst).
     """
     regime = params.regime
     if regime == REGIME_LARGE:
@@ -381,27 +376,24 @@ def evaluate_small(
     m = inst.m
     k_even = inst.k % 2 == 0
     plus = ((1, m - 1),)
-    both = ((1, m - 2), (-1, m - 2))
     if regime == REGIME_TINY:
         witnesses = plus if chi1.s == 1 and chi1.c == 1 << (m - 2) else ()
     elif k_even and chi1.s != 1:
         witnesses = ()
-    elif regime == REGIME_EDGE_T2:
-        # chi1(5) = 1 and chi1(-1) = (-1)^k: principal (k even) or mod-4 sign (k odd)
-        witnesses = plus if chi1.c == 1 << (m - 2) and (k_even or chi1.s == -1) else ()
-    elif regime == REGIME_EDGE_T3:
-        witnesses = () if chi1.c != 1 << (m - 3) else plus if k_even else both
-    else:  # MidRange: t + 3 < m - n <= 2t + 4
+    else:
         const, coef, cmod = _c_affine(inst, chi1.c, chi2.c, params.N, params.n, m - 2)
         if k_even:
             witnesses = plus if (const + coef) % cmod == 0 else ()
         else:
-            witnesses = tuple((x, sh) for x, sh in both if (const + x * coef) % cmod == 0)
-            if len(witnesses) == 2:
+            witnesses = tuple((x, m - 2) for x in (1, -1) if (const + x * coef) % cmod == 0)
+            if len(witnesses) == 2 and regime == REGIME_MIDRANGE:
                 raise AssertionError("characteristic values at +1 and -1 cannot both vanish here")
-    if not witnesses:
-        return _ZEROS[CASE_ZERO_CONDITION, ring_exponent_for(m)]
-    return _collapse(regime, inst, chi1, chi2, witnesses)
+    if witnesses:
+        cf = _collapse(regime, inst, chi1, chi2, witnesses)
+        # two witnesses cancel at EdgeT2 with odd k and the principal chi1
+        if cf.terms:
+            return cf
+    return _ZEROS[CASE_ZERO_CONDITION, ring_exponent_for(m)]
 
 
 def _collapse(

@@ -21,13 +21,12 @@ def v2(x: int) -> int:
     return (x & -x).bit_length() - 1
 
 
-@lru_cache(maxsize=4096)
 def five_pow_cofactor(i: int, w: int) -> int:
     """The odd cofactor R with 5^(2^(i-2)) = 1 + R * 2^i, reduced mod 2^w.
 
     Defined for i >= 2.  Computing 5^(2^(i-2)) mod 2^(w+i) and stripping the
-    known 2^i factor gives R exactly mod 2^w.  Cached, because the evaluator
-    asks for the same few small (i, w) over and over.
+    known 2^i factor gives R exactly mod 2^w.  Uncached: cofactor_ratio's
+    cache is the package's one cofactor cache.
     """
     if i < 2:
         raise ValueError(f"cofactor undefined for i={i}; need i >= 2")
@@ -35,6 +34,14 @@ def five_pow_cofactor(i: int, w: int) -> int:
         raise ValueError(f"width must be >= 1, got {w}")
     p = pow(5, 1 << (i - 2), 1 << (w + i))
     return (p - 1) >> i
+
+
+@lru_cache(maxsize=4096)
+def cofactor_ratio(i: int, n: int, w: int) -> int:
+    """R_i / R_(i+n) mod 2^w (R_j = five_pow_cofactor(j, w)); cached, because
+    the evaluator asks for the same few small (i, n, w) over and over."""
+    mod = 1 << w
+    return five_pow_cofactor(i, w) * pow(five_pow_cofactor(i + n, w), -1, mod) % mod
 
 
 # Byte-digit discrete log.  Digit j of gamma (bits 8j .. 8j+7) is read from

@@ -559,31 +559,35 @@ def test_tiny_zero_coefficient():
 
 @pytest.mark.parametrize("m", (6, 7, 8))
 def test_tiny_and_edge_t2_decisions_match_oracle_for_every_chi1(m):
-    # Tiny and EdgeT2 keep the sum only for chi1(5) = 1 with the right sign,
-    # decided from chi1's two fields: check every chi1 against the oracle
+    # Tiny decides from chi1's two fields, the rows from EdgeT2 up from C(+-1):
+    # check every chi1 against the oracle, and which chi1 survive
     cmax = 1 << (m - 2)
-    shapes = [  # (A, k, regime)
-        (0, 3, REGIME_TINY),
-        (1 << (m - 1), 1, REGIME_TINY),  # t = 0, m - n = 1
-        (3 << (m - 2), 2, REGIME_TINY),  # t = 1, m - n = 2
-        (1 << (m - 2), 3, REGIME_EDGE_T2),  # t = 0, m - n = 2
-        (3 << (m - 3), 2, REGIME_EDGE_T2),  # t = 1, m - n = 3
-        (1 << (m - 4), 4, REGIME_EDGE_T2),  # t = 2, m - n = 4
+    shapes = [  # (A, k, regime, the surviving chi1 as (s1, c1); None: not asserted)
+        (0, 3, REGIME_TINY, {(1, cmax)}),
+        (1 << (m - 1), 1, REGIME_TINY, {(1, cmax)}),  # t = 0, m - n = 1
+        (3 << (m - 2), 2, REGIME_TINY, {(1, cmax)}),  # t = 1, m - n = 2
+        (1 << (m - 2), 3, REGIME_EDGE_T2, {(-1, cmax)}),  # t = 0, m - n = 2
+        (3 << (m - 3), 2, REGIME_EDGE_T2, {(1, cmax)}),  # t = 1, m - n = 3
+        (1 << (m - 4), 4, REGIME_EDGE_T2, {(1, cmax)}),  # t = 2, m - n = 4
+        (1 << (m - 3), 1, REGIME_EDGE_T3, {(1, cmax >> 1), (-1, cmax >> 1)}),  # t = 0
+        (3 << (m - 4), 2, REGIME_EDGE_T3, {(1, cmax >> 1)}),  # t = 1, m - n = 4
+        (1 << (m - 5), 4, REGIME_EDGE_T3, {(1, cmax >> 1)}),  # t = 2, m - n = 5
+        (1 << (m - 4), 3, REGIME_MIDRANGE, None),  # t = 0, top row m - n = 2t + 4
     ]
     chis2 = [Character(m, 1, 1), Character(m, -1, cmax - 1)]
-    for A, k, regime in shapes:
+    for A, k, regime, survivors in shapes:
         inst = SumInstance(m, A, 5, k)
         assert derive(inst).regime == regime
-        alive = 0
-        for s1 in (1, -1):
-            for c1 in range(1, cmax + 1):
-                chi1 = Character(m, s1, c1)
-                for chi2 in chis2:
+        for chi2 in chis2:
+            alive = set()
+            for s1 in (1, -1):
+                for c1 in range(1, cmax + 1):
+                    chi1 = Character(m, s1, c1)
                     cf = closed_form(inst, chi1, chi2)
                     assert cf.value() == brute_force(inst, chi1, chi2), (inst, chi1, chi2)
-                    alive += bool(cf.terms)
-        # exactly one chi1 survives: principal, or the mod-4 sign at EdgeT2 with odd k
-        assert alive == len(chis2)
+                    if cf.terms:
+                        alive.add((s1, c1))
+            assert survivors is None or alive == survivors, (inst, chi2, alive)
 
 
 # ---------------------------------------------------------------------------
@@ -600,14 +604,18 @@ def _zero_calls(m):
         (CASE_ZERO_CONDITION, SumInstance(m, 0, 5, 1), Character(m, -1, cmax), Character(m, 1, 3)),
         # Large (m - n = m - 1 > 4) with chi1's parameter odd, not 2^(n+t) * odd
         (CASE_ZERO_CONDITION, SumInstance(m, 2, 1, 1), Character(m, 1, 1), Character(m, 1, 1)),
+        # EdgeT2 with odd k and the principal chi1: both witnesses survive and cancel
+        (CASE_ZERO_CONDITION, SumInstance(m, cmax, 5, 1), Character(m, 1, cmax), Character(m, 1, 3)),
     ]
 
 
 @pytest.mark.parametrize("m", (6, 7, 12, 30))
 def test_terminal_zeros_are_shared_frozen_constants(m):
     r = ring_exponent_for(m)
-    regimes = [REGIME_TINY, REGIME_TINY, REGIME_TINY, REGIME_LARGE]
-    for (case, inst, chi1, chi2), regime in zip(_zero_calls(m), regimes):
+    regimes = [None, None, REGIME_TINY, REGIME_LARGE, REGIME_EDGE_T2]  # None: normalize's zeros
+    for (case, inst, chi1, chi2), regime in zip(_zero_calls(m), regimes, strict=True):
+        if regime:
+            assert derive(inst).regime == regime
         cf = closed_form(inst, chi1, chi2)
         assert cf == ClosedForm(case, r, (), None, None, None, None, 0)
         assert closed_form(inst, chi1, chi2) is cf
@@ -673,7 +681,7 @@ def test_closed_digest_is_pinned():
 COLLAPSE_DLOGS = [
     (5, 8, 1, 2, (1, 8), (1, 1), REGIME_TINY, 1),
     (6, 8, 3, 2, (1, 16), (1, 1), REGIME_EDGE_T2, 1),
-    (5, 8, 3, 1, (-1, 8), (1, 1), REGIME_EDGE_T2, 1),
+    (5, 8, 3, 1, (-1, 8), (1, 1), REGIME_EDGE_T2, 2),  # both witnesses, 2^(m-2) each
     (5, 2, 1, 2, (1, 4), (1, 1), REGIME_EDGE_T3, 1),
     (5, 4, 1, 1, (1, 4), (1, 1), REGIME_EDGE_T3, 2),
     (6, 2, 1, 2, (1, 4), (1, 1), REGIME_MIDRANGE, 1),

@@ -6,6 +6,7 @@ from charsum.errors import MAX_M
 from charsum.ring2adic import (
     _DLOG_STEPS,
     _DLOG_W,
+    cofactor_ratio,
     dlog5,
     five_pow_cofactor,
     jacobi2,
@@ -36,16 +37,24 @@ def test_cofactor_rejects_small_i():
 
 
 def test_cofactor_cached_value_is_exact_and_bad_arguments_still_raise():
+    def exact(i):
+        return (5 ** (1 << (i - 2)) - 1) // (1 << i)
+
     for i, w in ((5, 31), (16, 31), (3, 1)):
-        exact = (5 ** (1 << (i - 2)) - 1) // (1 << i) % (1 << w)
-        first = five_pow_cofactor(i, w)
-        hits = five_pow_cofactor.cache_info().hits
-        assert five_pow_cofactor(i, w) == first == exact
-        assert five_pow_cofactor.cache_info().hits == hits + 1
+        assert five_pow_cofactor(i, w) == exact(i) % (1 << w)
+    # the ratio holds the package's one cofactor cache
+    for i, n, w in ((5, 3, 31), (14, 2, 31), (3, 2, 1)):
+        mod = 1 << w
+        first = cofactor_ratio(i, n, w)
+        hits = cofactor_ratio.cache_info().hits
+        assert cofactor_ratio(i, n, w) == first == exact(i) * pow(exact(i + n), -1, mod) % mod
+        assert cofactor_ratio.cache_info().hits == hits + 1
     for i, w in ((1, 8), (0, 8), (4, 0), (4, -1)):
         for _ in range(2):
             with pytest.raises(ValueError):
                 five_pow_cofactor(i, w)
+            with pytest.raises(ValueError):
+                cofactor_ratio(i, 1, w)
 
 
 @pytest.mark.parametrize("i", range(2, 14))
