@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Mutation check of the closed form: does Tier-1 notice a known fault?
+"""Mutation check of the closed form and its checker: does Tier-1 notice a known fault?
 
 Each mutant replaces one exact piece of text in one file with another.  For
 each, the script copies this checkout into a temporary directory, applies
@@ -25,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EVALUATOR = "src/charsum/evaluator.py"
+SWEEP = "src/charsum/sweep.py"
 TIER1 = ["-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
 TIMEOUT_S = 1200
@@ -52,6 +53,14 @@ MUTANTS = [
     Mutant("M8", EVALUATOR, "if len(witnesses) == 2 and regime == REGIME_MIDRANGE:",
            "if len(witnesses) == 2:",
            "assert cannot-both-vanish in every regime, EdgeT2 and EdgeT3 included"),
+    Mutant("S1", SWEEP, "        run = recs[i : i + _PHASE]\n        cfs, matches, tc, tb",
+           "        run = recs[i : i + _PHASE - 1]\n        cfs, matches, tc, tb",
+           "check's phase runs slice one record short"),
+    Mutant("S2", SWEEP, "zip(recs, cfs, wants)", "zip(recs, cfs, [wants[0]] * len(wants))",
+           "every record of a phase run is compared with the run's first oracle value"),
+    Mutant("S3", SWEEP, "            if cf.case in (CASE_LARGE_EVEN, CASE_LARGE_ODD):",
+           "            if i == 0 and cf.case in (CASE_LARGE_EVEN, CASE_LARGE_ODD):",
+           "the magnitude check reads only the first phase run of a part"),
 ]
 
 

@@ -1,13 +1,16 @@
 """Verification sweeps: instance sampling, the exact compare loop, parallel runs.
 
 A record is the flat tuple (m, A, B, k, c1, s1, c2, s2).  Comparing a record
-(`_compare`) means evaluating the closed form, summing the oracle, and
-comparing the closed form's ring and sparse terms with the oracle's
-(`brute_terms`; no dense vector is built on either side).  Its two sinks
-take records lazily, one block of _BLOCK at a time: `run_check` adds up a
-report (and checks Large-regime results' squared magnitude, a sparse product
-of the matched terms, against the regime formula), `write_grid` writes CSV
-rows.
+means evaluating the closed form, summing the oracle, and comparing the
+closed form's ring and sparse terms with the oracle's (`brute_terms`; no
+dense vector is built on either side).  `_compare` does this for a phase
+run of at most _PHASE consecutive records, in three passes: every closed
+form of the run, then every oracle sum, then the compares, so the two
+computations do not alternate record by record.  Its two sinks take records
+lazily, one block of _BLOCK at a time, and walk each part of a block one
+phase run at a time: `run_check` adds up a report (and checks Large-regime
+results' squared magnitude, a sparse product of the matched terms, against
+the regime formula), `write_grid` writes CSV rows in record order.
 Sampling is seeded and single-streamed, so reports are reproducible and
 independent of the worker count.  `sample_records` yields its records one at
 a time, as `exhaustive_records` does, rotating through aimed case shapes;
@@ -34,7 +37,7 @@ import random
 import time
 from collections import Counter
 from collections.abc import Iterable, Iterator
-from itertools import islice
+from itertools import islice, starmap
 
 from .characters import Character, SumInstance
 from .cyclotomic import abs2_terms, ring_exponent_for
@@ -53,6 +56,13 @@ _BLOCK = 1 << 16  # records per block: a sweep holds one block and its results
 # between 2.1M and 2.8M priced terms in most series, and always by 4.3M
 # (2-vCPU VM shared with other tenants; README, "Performance notes")
 FORK_TERMS = 1 << 20
+# records per phase run: `_compare` runs the closed form over a whole run, then
+# the oracle, instead of alternating the two code paths record by record.  On
+# the verify-sweep batches of m = 6..14 a record cost 34-35 us in runs of 1,
+# 26-28 us in runs of 16, 25-26 us of 32, 24-26 us of 64 and 24-25 us of 128
+# (a whole batch), against 31-33 us record by record (one process, median of
+# 7 passes, 3 series, 2-vCPU VM): flat from 32 up, and 64 keeps a run small
+_PHASE = 64
 
 
 class CheckReport:
@@ -89,19 +99,23 @@ class CheckReport:
         }
 
 
-def _compare(rec: Record) -> tuple:
-    """Closed form and oracle on one record: (cf, match, closed_s, oracle_s)."""
-    m, a, b, k, c1, s1, c2, s2 = rec
-    inst = SumInstance(m, a, b, k)
-    chi1 = Character(m, s1, c1)
-    chi2 = Character(m, s2, c2)
+def _compare(recs: list[Record]) -> tuple:
+    """Closed form and oracle on one phase run of records, in three passes:
+    (cfs, matches, closed_s, oracle_s), the lists in record order."""
+    args = [
+        (SumInstance(m, a, b, k), Character(m, s1, c1), Character(m, s2, c2))
+        for m, a, b, k, c1, s1, c2, s2 in recs
+    ]
     t0 = time.perf_counter()
-    cf = closed_form(inst, chi1, chi2)
+    cfs = list(starmap(closed_form, args))
     t1 = time.perf_counter()
-    want = brute_terms(inst, chi1, chi2)
+    wants = list(starmap(brute_terms, args))
     t2 = time.perf_counter()
-    match = cf.ring_exponent == ring_exponent_for(m) and cf.terms == want
-    return cf, match, t1 - t0, t2 - t1
+    matches = [
+        cf.ring_exponent == ring_exponent_for(rec[0]) and cf.terms == want
+        for rec, cf, want in zip(recs, cfs, wants)
+    ]
+    return cfs, matches, t1 - t0, t2 - t1
 
 
 def _check_chunk(recs: list[Record]) -> tuple:
@@ -109,23 +123,25 @@ def _check_chunk(recs: list[Record]) -> tuple:
     mismatches: list[Record] = []
     mag_bad: list[Record] = []
     t_closed = t_brute = 0.0
-    for rec in recs:
-        cf, match, tc, tb = _compare(rec)
+    for i in range(0, len(recs), _PHASE):
+        run = recs[i : i + _PHASE]
+        cfs, matches, tc, tb = _compare(run)
         t_closed += tc
         t_brute += tb
-        tags[cf.case] += 1
-        if not match:
-            mismatches.append(rec)
-            continue
-        if cf.case in (CASE_LARGE_EVEN, CASE_LARGE_ODD):
-            m, a, b, k = rec[:4]
-            swapped = (a & 1) and not (b & 1)
-            n = v2(b if swapped else a)
-            t = v2(k)
-            expected = m + n + 2 * t + 2 * min(1, t)
-            # cf.terms equals the oracle's value here, so its sparse |S|^2 is the oracle's
-            if abs2_terms(cf.ring_exponent, cf.terms) != {0: 1 << expected}:
-                mag_bad.append(rec)
+        for rec, cf, match in zip(run, cfs, matches):
+            tags[cf.case] += 1
+            if not match:
+                mismatches.append(rec)
+                continue
+            if cf.case in (CASE_LARGE_EVEN, CASE_LARGE_ODD):
+                m, a, b, k = rec[:4]
+                swapped = (a & 1) and not (b & 1)
+                n = v2(b if swapped else a)
+                t = v2(k)
+                expected = m + n + 2 * t + 2 * min(1, t)
+                # cf.terms equals the oracle's value here, so its sparse |S|^2 is the oracle's
+                if abs2_terms(cf.ring_exponent, cf.terms) != {0: 1 << expected}:
+                    mag_bad.append(rec)
     return len(recs), mismatches, tags, mag_bad, t_closed, t_brute
 
 
@@ -470,16 +486,17 @@ def _grid_chunk(recs: list[Record]) -> tuple[str, int, int]:
     """The CSV lines of the records, their count, and how many mismatch."""
     rows = []
     bad = 0
-    for rec in recs:
-        cf, match, _, _ = _compare(rec)
-        m, a, b, k, c1, s1, c2, s2 = rec
-        re, im = cf.approx()
-        mag = "" if cf.magnitude_halves is None else str(cf.magnitude_halves)
-        rows.append(
-            f"{m},{a},{b},{k},{c1},{s1},{c2},{s2},{cf.case},{mag},"
-            f"{'true' if match else 'false'},{re:.12g},{im:.12g}\n"
-        )
-        bad += not match
+    for i in range(0, len(recs), _PHASE):
+        run = recs[i : i + _PHASE]
+        cfs, matches, _, _ = _compare(run)
+        for (m, a, b, k, c1, s1, c2, s2), cf, match in zip(run, cfs, matches):
+            re, im = cf.approx()
+            mag = "" if cf.magnitude_halves is None else str(cf.magnitude_halves)
+            rows.append(
+                f"{m},{a},{b},{k},{c1},{s1},{c2},{s2},{cf.case},{mag},"
+                f"{'true' if match else 'false'},{re:.12g},{im:.12g}\n"
+            )
+            bad += not match
     return "".join(rows), len(recs), bad
 
 

@@ -1,4 +1,5 @@
 import io
+import itertools
 import json
 import multiprocessing
 import os
@@ -664,11 +665,11 @@ def test_compare_rejects_each_kind_of_wrong_value(monkeypatch, ring, terms):
     # a LargeOdd record worth -16 zeta^4 + 16 zeta^12 in Z[zeta_32]; its
     # closed form is replaced by a wrong value and compared with the real oracle
     rec = (7, 28, 115, 15, 4, 1, 25, -1)
-    cf, match, _, _ = charsum.sweep._compare(rec)
+    (cf,), (match,), _, _ = charsum.sweep._compare([rec])
     assert match and cf.ring_exponent == 5 and cf.terms == ((4, -16), (12, 16))
     wrong = cf._replace(ring_exponent=ring, terms=terms)
     monkeypatch.setattr(charsum.sweep, "closed_form", lambda *args: wrong)
-    assert charsum.sweep._compare(rec)[1] is False
+    assert charsum.sweep._compare([rec])[1][0] is False
 
 
 def test_check_flags_wrong_magnitude(capsys, monkeypatch):
@@ -731,6 +732,80 @@ def test_check_reports_exactly_the_wrong_records(capsys, monkeypatch, jobs):
     )
     assert code == 1
     assert json.loads(out)["mismatches"] == [list(r) for r in want]
+    # phase runs of 16: a part holds several runs, and the mismatches of
+    # every run are reported
+    monkeypatch.setattr(charsum.sweep, "_PHASE", 16)
+    report = charsum.sweep.run_check(iter(records), jobs=jobs)
+    assert report.instances_checked == 203
+    assert report.mismatches == want
+    assert report.magnitude_violations == []
+
+
+def test_check_flags_wrong_magnitude_in_every_phase_run(monkeypatch):
+    # as test_check_flags_wrong_magnitude, over 200 records in runs of 16
+    real = charsum.sweep.closed_form
+
+    def doubled(inst, chi1, chi2):
+        cf = real(inst, chi1, chi2)
+        return cf._replace(terms=tuple((e, 2 * x) for e, x in cf.terms))
+
+    monkeypatch.setattr(charsum.sweep, "closed_form", doubled)
+    monkeypatch.setattr(charsum.sweep, "brute_terms", lambda *args: doubled(*args).terms)
+    monkeypatch.setattr(charsum.sweep, "_PHASE", 16)
+    report = charsum.sweep.run_check(charsum.sweep.sample_records(5, 6, 8, 200), jobs=1)
+    large = report.tag_counts["LargeEven"] + report.tag_counts["LargeOdd"]
+    assert report.mismatches == []
+    assert large > 16 and len(report.magnitude_violations) == large
+
+
+@pytest.mark.parametrize("jobs", [1, pytest.param(2, marks=fork_only)])
+def test_phase_runs_change_no_report_or_row(monkeypatch, jobs):
+    # blocks of 150 records, each cut into two parts of 75 at jobs = 2 (one
+    # term per process); runs of 64 split those parts, runs of 1 and 7 split
+    # them everywhere
+    records = list(charsum.sweep.sample_records(4, 3, 10, 333))
+    monkeypatch.setattr(charsum.sweep, "_BLOCK", 150)
+    monkeypatch.setattr(charsum.sweep, "FORK_TERMS", 1)
+    outputs = []
+    for phase in (charsum.sweep._PHASE, 1, 7):
+        monkeypatch.setattr(charsum.sweep, "_PHASE", phase)
+        report = charsum.sweep.run_check(iter(records), jobs=jobs)
+        assert report.closed_seconds > 0 and report.brute_seconds > 0
+        doc = report.to_json_dict()
+        del doc["wall_time"]
+        outputs.append((doc, _grid_text(iter(records), jobs)))
+    doc, (text, counts) = outputs[0]
+    assert doc["instances_checked"] == 333 and counts == (333, 0)
+    assert len(doc["tag_counts"]) > 5
+    assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
+
+
+@pytest.mark.parametrize("sink", ["check", "grid"])
+def test_each_phase_run_sums_the_oracle_after_every_closed_form(monkeypatch, sink):
+    # one process, one block: the calls come in runs of _PHASE records, closed
+    # forms first; comparing record by record would give runs of one
+    calls = []
+    real_closed, real_brute = charsum.sweep.closed_form, charsum.sweep.brute_terms
+
+    def closed(*args):
+        calls.append("closed")
+        return real_closed(*args)
+
+    def brute(*args):
+        calls.append("oracle")
+        return real_brute(*args)
+
+    monkeypatch.setattr(charsum.sweep, "closed_form", closed)
+    monkeypatch.setattr(charsum.sweep, "brute_terms", brute)
+    records = charsum.sweep.sample_records(9, 6, 9, 203)
+    if sink == "check":
+        assert charsum.sweep.run_check(records, jobs=1).ok()
+    else:
+        assert charsum.sweep.write_grid(io.StringIO(), records, 1) == (203, 0)
+    phase = charsum.sweep._PHASE
+    sizes = [min(phase, 203 - i) for i in range(0, 203, phase)]
+    runs = [(name, len(list(group))) for name, group in itertools.groupby(calls)]
+    assert runs == [(name, n) for n in sizes for name in ("closed", "oracle")]
 
 
 @pytest.mark.parametrize("sink", ["check", "grid"])
