@@ -53,8 +53,8 @@ DEFAULT_KS = (1, 2, 3, 4, 6, 8, 12)
 _BLOCK = 1 << 16  # records per block: a sweep holds one block and its results
 # priced oracle terms (errors.record_terms) per process of a block: a child
 # takes milliseconds to start, and `run_check` on 2 processes first beat 1
-# between 2.1M and 2.8M priced terms in most series, and always by 4.3M
-# (2-vCPU VM shared with other tenants; README, "Performance notes")
+# at 2.1M priced terms in most series, and always by 8.5M (2-vCPU VM shared
+# with other tenants; README, "Performance notes")
 FORK_TERMS = 1 << 20
 # records per phase run: `_compare` runs the closed form over a whole run, then
 # the oracle, instead of alternating the two code paths record by record.  On

@@ -774,7 +774,7 @@ def test_phase_runs_change_no_report_or_row(monkeypatch, jobs):
         doc = report.to_json_dict()
         del doc["wall_time"]
         outputs.append((doc, _grid_text(iter(records), jobs)))
-    doc, (text, counts) = outputs[0]
+    doc, (_, counts) = outputs[0]
     assert doc["instances_checked"] == 333 and counts == (333, 0)
     assert len(doc["tag_counts"]) > 5
     assert outputs[1] == outputs[0] and outputs[2] == outputs[0]
