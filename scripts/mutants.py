@@ -25,6 +25,7 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 EVALUATOR = "src/charsum/evaluator.py"
+RING2ADIC = "src/charsum/ring2adic.py"
 SWEEP = "src/charsum/sweep.py"
 TIER1 = ["-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
          "--continue-on-collection-errors"]
@@ -53,6 +54,11 @@ MUTANTS = [
     Mutant("M8", EVALUATOR, "if len(witnesses) == 2 and regime == REGIME_MIDRANGE:",
            "if len(witnesses) == 2:",
            "assert cannot-both-vanish in every regime, EdgeT2 and EdgeT3 included"),
+    Mutant("V1", EVALUATOR, "        return tuple(t for t in terms if t[1])\n",
+           "        return tuple(terms)\n",
+           "_terms keeps zero coefficients"),
+    Mutant("D1", RING2ADIC, ", tail, h - 2)", ", tail, h - 1)",
+           "dlog5 shifts its linear tail by h - 1 bits, not h - 2"),
     Mutant("S1", SWEEP, "        run = recs[i : i + _PHASE]\n        cfs, matches, tc, tb",
            "        run = recs[i : i + _PHASE - 1]\n        cfs, matches, tc, tb",
            "check's phase runs slice one record short"),

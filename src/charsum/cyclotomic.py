@@ -43,16 +43,19 @@ def abs2_terms(r: int, terms) -> dict[int, int]:
     """S * conj(S) for S = sum coeff * zeta_{2^r}^exponent, as {exponent: coeff}
     on the power basis (nonzero coefficients only), computed over the terms."""
     half = 1 << (r - 1)
+    full = (1 << r) - 1
     acc: dict[int, int] = {}
     for e1, x1 in terms:
         for e2, x2 in terms:
-            e = (e1 - e2) % (1 << r)
+            e = (e1 - e2) & full
             x = x1 * x2
             if e >= half:
                 e -= half
                 x = -x
             acc[e] = acc.get(e, 0) + x
-    return {e: x for e, x in acc.items() if x}
+    if 0 in acc.values():
+        return {e: x for e, x in acc.items() if x}
+    return acc
 
 
 def ring_exponent_for(m: int) -> int:

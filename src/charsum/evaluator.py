@@ -123,7 +123,7 @@ _ZEROS = {
 
 def _fold(acc: dict[int, int], r: int, exp: int, coeff: int) -> None:
     half = 1 << (r - 1)
-    exp %= 1 << r
+    exp &= (1 << r) - 1
     if exp >= half:
         exp -= half
         coeff = -coeff
@@ -131,16 +131,19 @@ def _fold(acc: dict[int, int], r: int, exp: int, coeff: int) -> None:
 
 
 def _terms(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    return tuple(sorted((e, c) for e, c in acc.items() if c))
+    terms = sorted(acc.items())
+    if 0 in acc.values():
+        return tuple(t for t in terms if t[1])
+    return tuple(terms)
 
 
 def _sparse_abs2_log2(terms: tuple[tuple[int, int], ...], r: int) -> int:
     """v with S * conj(S) = 2^v, computed sparsely.  Every nonzero value this
     evaluator produces has that shape; anything else is a bug."""
-    flat = sorted(abs2_terms(r, terms).items())
-    if len(flat) != 1 or flat[0][0] != 0:
-        raise AssertionError(f"|S|^2 not rational: {flat}")
-    sq = flat[0][1]
+    abs2 = abs2_terms(r, terms)
+    if len(abs2) != 1 or 0 not in abs2:
+        raise AssertionError(f"|S|^2 not rational: {sorted(abs2.items())}")
+    sq = abs2[0]
     if sq <= 0 or sq & (sq - 1):
         raise AssertionError(f"|S|^2 not a power of two: {sq}")
     return sq.bit_length() - 1
@@ -150,15 +153,14 @@ def _closed(
     case: str,
     r: int,
     acc: dict[int, int],
-    *,
-    x0: int | None = None,
-    lam: int | None = None,
-    h: int | None = None,
-    scale_log2: int = 0,
+    x0: int | None,
+    lam: int | None,
+    h: int | None,
+    scale_log2: int,
 ) -> ClosedForm:
     terms = _terms(acc)
     mag = _sparse_abs2_log2(terms, r) if terms else None
-    return ClosedForm(case, r, terms, mag, x0, lam, h, scale_log2)
+    return tuple.__new__(ClosedForm, (case, r, terms, mag, x0, lam, h, scale_log2))
 
 
 # ---------------------------------------------------------------------------
@@ -181,29 +183,30 @@ def normalize(inst: SumInstance, chi1: Character, chi2: Character) -> Normalized
     drops once to 2^(m - d), parameters c >> d and each term class hit 2^d
     times, where one parameter is odd and the rule above applies once more.
     """
-    m = inst.m
+    m, A, B, k = inst
     if chi1.m != m or chi2.m != m:
         raise ValueError("characters and instance must share the modulus")
-    if not (inst.A ^ inst.B) & 1:
+    if not (A ^ B) & 1:
         return _NORM_ZERO_PARITY
-    if inst.A & 1:
-        k, q = inst.k, 1 << (m - 2)
+    if A & 1:
+        q = 1 << (m - 2)
         chi1 = Character(m, chi1.s * chi2.s if k & 1 else chi1.s, -(chi1.c + k * chi2.c) % q or q)
-        inst = SumInstance(m, inst.B, inst.A, k)
+        A, B = B, A
+        inst = SumInstance(m, A, B, k)
     if chi2.c & 1:  # chi2 primitive
-        return NormalizedProblem("standard", None, inst, chi1, chi2, 0)
+        return tuple.__new__(NormalizedProblem, ("standard", None, inst, chi1, chi2, 0))
     c1, c2 = chi1.c, chi2.c
     both = c1 | c2
     d = (both & -both).bit_length() - 1  # v2(c1 | c2): 0 when chi1 is primitive
     if d == m - 2:
-        return NormalizedProblem("direct", None, inst, chi1, chi2, d)
+        return tuple.__new__(NormalizedProblem, ("direct", None, inst, chi1, chi2, d))
     if not c2 >> d & 1:  # chi1 primitive mod 2^(m - d), chi2 not
         return _NORM_ZERO_IMPRIMITIVE
     mp = m - d
     mod = 1 << mp
-    inst = SumInstance(mp, inst.A % mod, inst.B % mod, inst.k)
+    inst = SumInstance(mp, A % mod, B % mod, k)
     chi1, chi2 = Character(mp, chi1.s, c1 >> d), Character(mp, chi2.s, c2 >> d)
-    return NormalizedProblem("standard", None, inst, chi1, chi2, d)
+    return tuple.__new__(NormalizedProblem, ("standard", None, inst, chi1, chi2, d))
 
 
 # ---------------------------------------------------------------------------
@@ -218,17 +221,17 @@ def derive(inst: SumInstance) -> DerivedParams:
     k1 = k >> t
     if A == 0:
         # A = 0 mod 2^m behaves as valuation >= m: deepest Tiny shape
-        return DerivedParams(m, t, k1, None, None, REGIME_TINY)
+        return tuple.__new__(DerivedParams, (m, t, k1, None, None, REGIME_TINY))
     n = (A & -A).bit_length() - 1  # v2(A)
     d = m - n
     m_exp = ((m + n) >> 1) + t
     if d < t + 2:
-        return DerivedParams(n, t, k1, None, None, REGIME_TINY)
+        return tuple.__new__(DerivedParams, (n, t, k1, None, None, REGIME_TINY))
     if d <= 2 * t + 4:
         # EdgeT2 and EdgeT3 only tag MidRange's rows m - n = t + 2 and t + 3
         regime = (REGIME_EDGE_T2, REGIME_EDGE_T3, REGIME_MIDRANGE)[min(d - t - 2, 2)]
-        return DerivedParams(n, t, k1, t + 2, m_exp, regime)
-    return DerivedParams(n, t, k1, (d + 1) >> 1, m_exp, REGIME_LARGE)
+        return tuple.__new__(DerivedParams, (n, t, k1, t + 2, m_exp, regime))
+    return tuple.__new__(DerivedParams, (n, t, k1, (d + 1) >> 1, m_exp, REGIME_LARGE))
 
 
 # ---------------------------------------------------------------------------
@@ -321,13 +324,15 @@ def evaluate_large(
     if x0 is None:
         x0 = root
 
-    cval = (const + coef * pow(x0, inst.k, cmod)) % cmod
+    # 2^(m_exp + 1) divides 2^m (m_exp < m - 2 here), so one power serves both
+    mod = 1 << m
+    x0k = pow(x0, inst.k, mod)
+    cval = (const + coef * x0k) % cmod
     if cval % (1 << m_exp):
         raise AssertionError(f"x0={x0} does not satisfy the characteristic congruence")
     lam = cval >> m_exp
 
-    mod = 1 << m
-    y0 = (inst.A * pow(x0, inst.k, mod) + inst.B) % mod
+    y0 = (inst.A * x0k + inst.B) % mod
     e1, s1 = char_exp(chi1, x0, r)
     e2, s2 = char_exp(chi2, y0, r)
     sign = s1 * s2
@@ -347,7 +352,7 @@ def evaluate_large(
         _fold(acc, r, e + (h + 1) * step8, coeff)
         _fold(acc, r, e + (h + 3) * step8, -coeff)
         case = CASE_LARGE_ODD
-    cf = _closed(case, r, acc, x0=x0, lam=lam, h=h)
+    cf = _closed(case, r, acc, x0, lam, h, 0)
     if cf.magnitude_halves != m + n + 2 * t + 2 * min(1, t):
         raise AssertionError("magnitude disagrees with the regime formula")
     return cf
@@ -385,7 +390,9 @@ def evaluate_small(
         if k_even:
             witnesses = plus if (const + coef) % cmod == 0 else ()
         else:
-            witnesses = tuple((x, m - 2) for x in (1, -1) if (const + x * coef) % cmod == 0)
+            witnesses = ((1, m - 2),) if (const + coef) % cmod == 0 else ()
+            if (const - coef) % cmod == 0:
+                witnesses += ((-1, m - 2),)
             if len(witnesses) == 2 and regime == REGIME_MIDRANGE:
                 raise AssertionError("characteristic values at +1 and -1 cannot both vanish here")
     if witnesses:
@@ -408,14 +415,21 @@ def _collapse(
     m = inst.m
     r = ring_exponent_for(m)
     A, B = inst.A, inst.B
+    half = 1 << (r - 1)
     acc: dict[int, int] = {}
     for x, shift in witnesses:
         # A x^k + B at x = -1 is B - A for odd k; an even k meets x = -1 only on
         # the four-term path, where A is even and chi2 lives mod 4, so B - A works too
         y = B - A if x == -1 else B + A
-        e, s = char_exp(chi2, y % (1 << m), r)
-        _fold(acc, r, e, (s if x == 1 else chi1.s * s) << shift)
-    return _closed(case, r, acc, scale_log2=scale_log2)
+        e, s = char_exp(chi2, y & ((1 << m) - 1), r)
+        coeff = (s if x == 1 else chi1.s * s) << shift
+        # _fold, inlined
+        e &= (1 << r) - 1
+        if e >= half:
+            e -= half
+            coeff = -coeff
+        acc[e] = acc.get(e, 0) + coeff
+    return _closed(case, r, acc, None, None, None, scale_log2)
 
 
 def _rescale(inner: ClosedForm, outer_m: int, scale_log2: int) -> ClosedForm:
@@ -425,26 +439,26 @@ def _rescale(inner: ClosedForm, outer_m: int, scale_log2: int) -> ClosedForm:
     terms = tuple((e * f, c << scale_log2) for e, c in inner.terms)
     case = CASE_REDUCED if terms else inner.case
     mag = None if inner.magnitude_halves is None else inner.magnitude_halves + 2 * scale_log2
-    return ClosedForm(
-        case, r, terms, mag, inner.x0, inner.lambda_parity, inner.h, scale_log2
+    return tuple.__new__(
+        ClosedForm, (case, r, terms, mag, inner.x0, inner.lambda_parity, inner.h, scale_log2)
     )
 
 
 def closed_form(inst: SumInstance, chi1: Character, chi2: Character) -> ClosedForm:
     """Structured exact evaluation of the sum, without dense ring work."""
-    norm = normalize(inst, chi1, chi2)
-    if norm.kind == "zero":
-        return _ZEROS[norm.zero_case, ring_exponent_for(inst.m)]
-    if norm.kind == "direct":
+    kind, zero_case, n_inst, n_chi1, n_chi2, scale_log2 = normalize(inst, chi1, chi2)
+    if kind == "zero":
+        return _ZEROS[zero_case, ring_exponent_for(inst.m)]
+    if kind == "direct":
         # both characters live mod 4: x = -1 repeats the x = +1 term or cancels it
-        both = ((1, norm.inst.m - 2), (-1, norm.inst.m - 2))
-        return _collapse(CASE_REDUCED, norm.inst, norm.chi1, norm.chi2, both, norm.scale_log2)
-    params = derive(norm.inst)
+        both = ((1, n_inst.m - 2), (-1, n_inst.m - 2))
+        return _collapse(CASE_REDUCED, n_inst, n_chi1, n_chi2, both, scale_log2)
+    params = derive(n_inst)
     if params.regime == REGIME_LARGE:
-        cf = evaluate_large(norm.inst, norm.chi1, norm.chi2, params)
+        cf = evaluate_large(n_inst, n_chi1, n_chi2, params)
     else:
-        cf = evaluate_small(norm.inst, norm.chi1, norm.chi2, params)
-    if norm.scale_log2:
-        cf = _rescale(cf, inst.m, norm.scale_log2)
+        cf = evaluate_small(n_inst, n_chi1, n_chi2, params)
+    if scale_log2:
+        cf = _rescale(cf, inst.m, scale_log2)
     return cf
 

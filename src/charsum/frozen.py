@@ -9,7 +9,11 @@ constructor, field access, the repr naming every field, immutability
 lacks: two records are equal only when they have the same type and equal
 fields, so a record never equals a plain tuple or a record of another class
 with the same fields.  Records remain tuples otherwise (indexing, unpacking,
-`len`, ordering, `json.dumps` as a list); no caller uses that.
+`len`, ordering, `json.dumps` as a list).  The closed form's hot path uses
+two of those: it unpacks `SumInstance` and `NormalizedProblem` records, and
+builds the records that check nothing (`ClosedForm`, `NormalizedProblem`,
+`DerivedParams`) with `tuple.__new__(cls, (...))`, which skips the named
+tuple's own `__new__`.
 """
 
 from __future__ import annotations

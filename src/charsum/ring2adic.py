@@ -3,12 +3,15 @@
 Residues are plain non-negative ints below 2^w, with the width passed
 explicitly where it matters.  Provides 2-adic valuations, the odd cofactors
 that convert powers of 5 into additive 2-adic shifts, a discrete logarithm to
-base 5 read one byte-digit at a time from tables built at import, and the
-Jacobi symbol (2/h).
+base 5 that costs one table lookup and a linear tail, and the Jacobi symbol
+(2/h).  The logarithm's tables are built on first use, never at import.  The
+oracle splits its logarithms by the same 2-adic identity in code of its own;
+tests/test_oracle.py checks that neither route calls the other's.
 """
 
 from __future__ import annotations
 
+from array import array
 from functools import lru_cache
 
 from .errors import MAX_M
@@ -44,63 +47,73 @@ def cofactor_ratio(i: int, n: int, w: int) -> int:
     return five_pow_cofactor(i, w) * pow(five_pow_cofactor(i + n, w), -1, mod) % mod
 
 
-# Byte-digit discrete log.  Digit j of gamma (bits 8j .. 8j+7) is read from
-# bits 8j+2 .. 8j+9 of y once the lower digits are divided out (then
-# y = 5^(gamma >> 8j) = 1 mod 2^(8j+2)); for j >= 1 that byte is the digit
-# times an odd unit, since 5^(2^(8j)) = 1 + 2^(8j+2) u and 2(8j+2) >= 8j+10.
-# Per position j and byte b the tables hold d << 8j and 5^(-d 2^(8j)) mod
-# 2^_DLOG_W; _DLOG_W covers the top byte read at MAX_M, so each step is exact
-# mod 2^_DLOG_W and y's bits above m only perturb digits past bit m-3.
-_DLOG_DIGITS = (MAX_M - 2 + 7) >> 3
-_DLOG_W = 8 * _DLOG_DIGITS + 2
-_DLOG_MASK = (1 << _DLOG_W) - 1
+# Discrete log by one lookup and a linear tail.  With h = max(ceil(m/2), 2),
+# y = 1 mod 4 is 5^l mod 2^h for exactly one l < 2^(h-2), and a table indexed
+# by y mod 2^h holds l and 5^(-l) mod 2^MAX_M, so one table serves every m with
+# that h.  Then y 5^(-l) = 1 + 2^h z mod 2^m, and since 2h >= m,
+# (1 + 2^h a)(1 + 2^h b) = 1 + 2^h (a + b) mod 2^m: the group 1 + 2^h Z/2^m is
+# cyclic and adds like Z/2^(m-h), generated by 5^(2^(h-2)) = 1 + 2^h u with u
+# odd.  So gamma = l + 2^(h-2) (z u^(-1) mod 2^(m-h)).  _LOG_WIDTHS[m] holds
+# the constants dlog5 reads at width m.  Both are filled on the first call at
+# their width, never at import; all tables (h <= 15) take about 128 KB.
+_LOG_TABLES: dict[int, tuple[array, array, int]] = {}
+_LOG_WIDTHS: list[tuple | None] = [None] * (MAX_M + 1)
 
 
-def _dlog_tables() -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
-    steps = []
-    for j in range(_DLOG_DIGITS):
-        step = pow(5, 1 << (8 * j), 1 << _DLOG_W)
-        step_inv = pow(step, -1, 1 << _DLOG_W)
-        digit = [0] * 256
-        undo = [0] * 256
-        fwd, back = 1, 1
-        for d in range(256):
-            b = (fwd >> (8 * j + 2)) & 255
-            digit[b] = d << (8 * j)
-            undo[b] = back
-            fwd = fwd * step & _DLOG_MASK
-            back = back * step_inv & _DLOG_MASK
-        steps.append((tuple(digit), tuple(undo)))
-    return tuple(steps)
+def _log_table(h: int) -> tuple[array, array, int]:
+    """(logs, inverses, u) for width h >= 2: entry (y mod 2^h) >> 2 of logs is
+    the l < 2^(h-2) with 5^l = y mod 2^h, and of inverses 5^(-l) mod 2^MAX_M;
+    5^(2^(h-2)) = 1 + 2^h u mod 2^(2h)."""
+    tab = _LOG_TABLES.get(h)
+    if tab is None:
+        size = 1 << (h - 2)
+        logs = array("I", bytes(4 * size))
+        inverses = array("I", bytes(4 * size))
+        low, full = (1 << h) - 1, (1 << MAX_M) - 1
+        five_inv = pow(5, -1, 1 << MAX_M)
+        fwd = back = 1
+        for l in range(size):
+            i = fwd >> 2
+            logs[i] = l
+            inverses[i] = back
+            fwd = fwd * 5 & low
+            back = back * five_inv & full
+        u = (pow(5, size, 1 << (2 * h)) - 1) >> h
+        tab = _LOG_TABLES[h] = (logs, inverses, u)
+    return tab
 
 
-_DLOG_STEPS = _dlog_tables()
+def _log_width(m: int) -> tuple:
+    """dlog5's constants at width m: the table of h = max(ceil(m/2), 2), the
+    masks of m, h and m - h bits, u^(-1) mod 2^(m-h) and the tail's shift."""
+    h = max((m + 1) >> 1, 2)
+    logs, inverses, u = _log_table(h)
+    tail = (1 << (m - h)) - 1
+    consts = (logs, inverses, (1 << m) - 1, (1 << h) - 1, h, pow(u, -1, tail + 1), tail, h - 2)
+    _LOG_WIDTHS[m] = consts
+    return consts
 
 
 def dlog5(x: int, m: int) -> tuple[int, int]:
     """Decompose odd x as (-1)^eps * 5^gamma mod 2^m, for 3 <= m <= MAX_M.
 
     Returns (eps, gamma) with eps in {0, 1} and 0 <= gamma < 2^(m-2);
-    eps = 0 exactly when x = 1 mod 4.  gamma is read one byte-digit at a
-    time: a table lookup gives the digit and the power of 5 that clears it,
-    so m = 30 takes 4 steps.
+    eps = 0 exactly when x = 1 mod 4.  gamma costs one table lookup on the
+    low h = max(ceil(m/2), 2) bits of +-x and a linear tail on the other
+    m - h; the first call at a width builds its table.
     """
     if not 3 <= m <= MAX_M:
         raise ValueError(f"modulus exponent must be in [3, {MAX_M}], got {m}")
     if x % 2 == 0:
         raise ValueError(f"{x} is even; only odd residues decompose")
-    mod = 1 << m
-    x %= mod
-    eps = 0 if x & 3 == 1 else 1
-    y = x if eps == 0 else mod - x
-    gamma = 0
-    shift = 2
-    for digit, undo in _DLOG_STEPS[: (m + 5) >> 3]:
-        b = (y >> shift) & 255
-        gamma += digit[b]
-        y = y * undo[b] & _DLOG_MASK
-        shift += 8
-    return eps, gamma & ((1 << (m - 2)) - 1)
+    logs, inverses, mask, low, h, u_inv, tail, shift = _LOG_WIDTHS[m] or _log_width(m)
+    x &= mask
+    if x & 2:
+        eps, y = 1, mask + 1 - x
+    else:
+        eps, y = 0, x
+    i = (y & low) >> 2
+    return eps, logs[i] + ((((y * inverses[i] & mask) >> h) * u_inv & tail) << shift)
 
 
 _JACOBI2 = {1: 1, 3: -1, 5: -1, 7: 1}

@@ -17,7 +17,7 @@ import charsum
 from charsum.characters import Character, SumInstance, char_exp
 from charsum.cyclotomic import CycInt, ring_exponent_for
 from charsum.errors import MAX_ORACLE_M, WidthCapError
-from charsum.evaluator import closed_form
+from charsum.evaluator import closed_form, derive, normalize
 from charsum.oracle import (
     _LEAF,
     _SPAN,
@@ -637,3 +637,53 @@ def test_oracle_never_calls_the_closed_forms_logs(monkeypatch):
     # the counters are live: the closed form takes its logs through them
     closed_form(SumInstance(7, 2, 1, 1), Character(7, 1, 2), Character(7, 1, 1))
     assert calls["dlog5"] or calls["char_exp"]
+
+
+def _package_calls(func, *args) -> tuple:
+    """func(*args), and the (module, function) of every charsum Python function
+    it calls, as sys.setprofile sees them.  A cache hit runs no Python frame."""
+    seen = Counter()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            seen[frame.f_globals.get("__name__"), frame.f_code.co_name] += 1
+
+    sys.setprofile(profile)
+    try:
+        out = func(*args)
+    finally:
+        sys.setprofile(None)
+    return out, Counter({k: n for k, n in seen.items() if str(k[0]).startswith("charsum")})
+
+
+def test_closed_form_never_calls_the_oracle():
+    # the closed form's dlog5 and the oracle's _low_logs read the same 2-adic
+    # identity; the two must stay separate code.  A cache hit records no call
+    # of the cached function, so every lru_cache in the package starts empty.
+    for name, module in list(sys.modules.items()):
+        if name.startswith("charsum"):
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+    seen, cases, regimes, paths = Counter(), set(), set(), set()
+    for m, a, b, k, c1, s1, c2, s2 in sample_records(29, 3, 16, 600):
+        inst, chi1, chi2 = SumInstance(m, a, b, k), Character(m, s1, c1), Character(m, s2, c2)
+        cf, calls = _package_calls(closed_form, inst, chi1, chi2)
+        seen += calls
+        cases.add(cf.case)
+        norm = normalize(inst, chi1, chi2)
+        paths.add(("reduced" if norm.kind == "standard" and norm.scale_log2 else norm.kind, a & 1))
+        if norm.kind == "standard":
+            regimes.add(derive(norm.inst).regime)
+    assert cases == {"ZeroParity", "ZeroImprimitive", "ZeroCondition", "LargeEven", "LargeOdd",
+                     "Reduced", "EdgeT2", "EdgeT3", "MidRange", "Tiny"}
+    assert regimes == {"Tiny", "EdgeT2", "EdgeT3", "MidRange", "Large"}
+    # every normalize outcome, from an even A and from an odd A (swapped first)
+    assert paths == {(kind, odd) for kind in ("zero", "standard", "reduced", "direct") for odd in (0, 1)}
+    assert not [k for k in seen if k[0] == "charsum.oracle"], sorted(seen)
+    # the recorder is live on both routes: the closed form's own layers show,
+    # and so does the oracle when it is the one called
+    assert seen["charsum.ring2adic", "dlog5"] and seen["charsum.evaluator", "evaluate_large"]
+    assert seen["charsum.ring2adic", "cofactor_ratio"] and seen["charsum.characters", "char_exp"]
+    inst, chi1, chi2 = SumInstance(9, 2, 1, 1), Character(9, 1, 2), Character(9, 1, 1)
+    assert ("charsum.oracle", "brute_terms") in _package_calls(brute_terms, inst, chi1, chi2)[1]

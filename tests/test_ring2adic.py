@@ -1,11 +1,15 @@
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import charsum
 from charsum.errors import MAX_M
 from charsum.ring2adic import (
-    _DLOG_STEPS,
-    _DLOG_W,
+    _log_table,
     cofactor_ratio,
     dlog5,
     five_pow_cofactor,
@@ -110,12 +114,16 @@ def test_dlog5_round_trip_exhaustive(m):
         assert _undo_dlog5(eps, gamma, m) == x
 
 
-# widths at which the last byte-digit read by dlog5 is full or holds one bit
-@pytest.mark.parametrize("m", [10, 11, 18, 19, 26, 27])
+# widths at the edges of dlog5's split into a looked-up h = max(ceil(m/2), 2)
+# bits and a linear tail of m - h: m = 3, 4 (h = 2), m = 2h - 1 (the tail is one
+# bit shorter than the table) and m = 2h, for several h, up to MAX_M
+@pytest.mark.parametrize("m", [3, 4, 5, 6, 9, 10, 11, 12, 17, 18, 19, 20, 25, 26, 27, 28, 29, 30])
 def test_dlog5_digit_boundary_widths(m):
     top = 1 << (m - 2)
+    split = 1 << (max((m + 1) // 2, 2) - 2)  # gamma's bits below it come from the table
     gammas = {0, 1, 254, 255, 256, 257, 511, top - 256, top - 255, top // 2, top - 1}
     gammas |= {(1 << b) + d for b in (8, 16, 24) for d in (-1, 0, 1)}
+    gammas |= {split * j + d for j in (1, 2, 3, top // split - 1) for d in (-1, 0, 1)}
     gammas |= {g * 0x9E3779B1 % top for g in range(1, 200)}
     mod = 1 << m
     for gamma in sorted(g for g in gammas if 0 <= g < top):
@@ -139,15 +147,36 @@ def test_dlog5_extremes_at_m30(x, out):
 
 
 def test_dlog5_tables_are_exact_permutations():
-    # every byte names one digit, and its entry divides exactly that power out
-    mod = 1 << _DLOG_W
-    assert len(_DLOG_STEPS) == (MAX_M - 2 + 7) // 8
-    for j, (digit, undo) in enumerate(_DLOG_STEPS):
-        assert sorted(digit) == [d << (8 * j) for d in range(256)]
-        for b in range(256):
-            y = pow(5, digit[b], mod)
-            assert (y >> (8 * j + 2)) & 255 == b
-            assert y * undo[b] % mod == 1
+    # every residue = 1 mod 4 below 2^h has one entry, holding its log and the
+    # power of 5 that divides it out mod 2^MAX_M; u of 5^(2^(h-2)) = 1 + 2^h u is odd
+    full = 1 << MAX_M
+    for h in range(2, (MAX_M + 1) // 2 + 1):
+        logs, inverses, u = _log_table(h)
+        size = 1 << (h - 2)
+        assert len(logs) == len(inverses) == size
+        assert sorted(logs) == list(range(size))
+        for i, l in enumerate(logs):
+            assert pow(5, l, 1 << h) == 4 * i + 1
+            assert inverses[i] * pow(5, l, full) % full == 1
+        assert u % 2 == 1
+        assert pow(5, size, 1 << (2 * h)) == 1 + (u << h)
+
+
+def test_importing_the_cli_builds_no_dlog_table():
+    # the tables are built on dlog5's first call at each width, never at import
+    script = (
+        "import charsum.cli, charsum.ring2adic as r; "
+        "print(len(r._LOG_TABLES), sum(w is not None for w in r._LOG_WIDTHS)); "
+        "r.dlog5(3, 20); "
+        "print(sorted(r._LOG_TABLES), [m for m, w in enumerate(r._LOG_WIDTHS) if w])"
+    )
+    src = os.path.dirname(os.path.dirname(charsum.__file__))
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines() == ["0 0", "[10] [20]"]
 
 
 def test_dlog5_refuses_widths_above_max_m():
