@@ -1,5 +1,6 @@
 #!/usr/bin/env python3
-"""Mutation check of the closed form and its checker: does Tier-1 notice a known fault?
+"""Mutation check of the closed form, the oracle and the checker: does Tier-1
+notice a known fault?
 
 Each mutant replaces one exact piece of text in one file with another.  For
 each, the script copies this checkout into a temporary directory, applies
@@ -24,7 +25,9 @@ from collections import namedtuple
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+CYCLOTOMIC = "src/charsum/cyclotomic.py"
 EVALUATOR = "src/charsum/evaluator.py"
+ORACLE = "src/charsum/oracle.py"
 RING2ADIC = "src/charsum/ring2adic.py"
 SWEEP = "src/charsum/sweep.py"
 TIER1 = ["-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider",
@@ -57,7 +60,7 @@ MUTANTS = [
     Mutant("V1", EVALUATOR, "        return tuple(t for t in terms if t[1])\n",
            "        return tuple(terms)\n",
            "_terms keeps zero coefficients"),
-    Mutant("D1", RING2ADIC, ", tail, h - 2)", ", tail, h - 1)",
+    Mutant("D1", RING2ADIC, ", tail, h - 2\n", ", tail, h - 1\n",
            "dlog5 shifts its linear tail by h - 1 bits, not h - 2"),
     Mutant("S1", SWEEP, "        run = recs[i : i + _PHASE]\n        cfs, matches, tc, tb",
            "        run = recs[i : i + _PHASE - 1]\n        cfs, matches, tc, tb",
@@ -67,6 +70,19 @@ MUTANTS = [
     Mutant("S3", SWEEP, "            if cf.case in (CASE_LARGE_EVEN, CASE_LARGE_ODD):",
            "            if i == 0 and cf.case in (CASE_LARGE_EVEN, CASE_LARGE_ODD):",
            "the magnitude check reads only the first phase run of a part"),
+    Mutant("O1", ORACLE, "p = max((m - n + 1) // 2 - 2 - t, 0)",
+           "p = max((m - n + 1) // 2 - 3 - t, 0)",
+           "the oracle builds one bit too few rows per half, so rows outrun their linear stretch"),
+    Mutant("O2", ORACLE, "p = max((m - n + 1) // 2 - 2 - t, 0)",
+           "p = max((m - n + 1) // 2 - 2 - t, 0) + 1",
+           "the oracle builds one bit too many rows per half: every count is unchanged, "
+           "since 2P rows meet both valuation conditions of _counts, but the work doubles"),
+    Mutant("O3", ORACLE, "cnt[key ^ lsb] += rows[key] * (per_row * lsb >> r) * weight",
+           "cnt[key ^ lsb] += (per_row * lsb >> r) * weight",
+           "the class tally counts each residue class once, however many rows it holds"),
+    Mutant("C1", CYCLOTOMIC, "        for e, x in terms:\n            coeffs[e] = x\n",
+           "        for e, x in terms[:-1]:\n            coeffs[e] = x\n",
+           "CycInt.from_terms drops its last term"),
 ]
 
 

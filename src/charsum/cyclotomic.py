@@ -8,7 +8,8 @@ coefficients: the closed form's terms and the summation oracle's
 `brute_terms` have that shape, so their equality is tuple equality, and the
 helpers here square, print and approximate such terms without densifying
 them.  CycInt is the dense form, for `ClosedForm.value()` and the oracle's
-`brute_force` and `half_sum` views.
+`brute_force` and `half_sum` views; all three expand their terms through
+`CycInt.from_terms`, the one sparse-to-dense expansion in the package.
 """
 
 from __future__ import annotations
@@ -32,6 +33,15 @@ class CycInt(Frozen, namedtuple("CycInt", "r coeffs")):
                 f"ring 2^{r} needs {1 << (r - 1)} coefficients, got {len(coeffs)}"
             )
         return tuple.__new__(cls, (r, coeffs))
+
+    @classmethod
+    def from_terms(cls, r: int, terms) -> CycInt:
+        """The dense element of sparse (exponent, coeff) pairs with distinct
+        exponents below 2^(r-1): the package's one sparse-to-dense expansion."""
+        coeffs = [0] * (1 << (r - 1))
+        for e, x in terms:
+            coeffs[e] = x
+        return cls(r, tuple(coeffs))
 
 
 def terms_json(r: int, terms) -> dict:

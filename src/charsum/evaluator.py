@@ -9,10 +9,10 @@ collapse onto x = +-1, where each surviving witness contributes
 2^(m-2) or 2^(m-1) times chi1(x) chi2(A x^k + B).  Every nonzero value is a
 power of sqrt(2) times one or two roots of unity, so results are carried as
 sparse exact term lists (ClosedForm.value() expands one to a dense ring
-element); the structured evaluation costs poly(m) arithmetic at every
-valuation: the Large regime solves its characteristic congruence for the
-smallest root directly, without enumerating the 2^(n + 2t + min(1, t))
-solutions.
+element through CycInt.from_terms, the package's one dense expansion); the
+structured evaluation costs poly(m) arithmetic at every valuation: the Large
+regime solves its characteristic congruence for the smallest root directly,
+without enumerating the 2^(n + 2t + min(1, t)) solutions.
 
 Witness data (x0, the parity of lambda, h) follows the sparse value around
 so verification runs can re-derive everything from the report alone.
@@ -86,11 +86,7 @@ class ClosedForm(Frozen, namedtuple(
 
     def value(self) -> CycInt:
         """Dense ring element; costs O(2^(r-1)) to materialize."""
-        half = 1 << (self.ring_exponent - 1)
-        c = [0] * half
-        for e, x in self.terms:
-            c[e] = x
-        return CycInt(self.ring_exponent, tuple(c))
+        return CycInt.from_terms(self.ring_exponent, self.terms)
 
     def approx(self) -> tuple[float, float]:
         return approx_terms(self.ring_exponent, self.terms)
@@ -411,24 +407,18 @@ def _collapse(
     witnesses: tuple[tuple[int, int], ...],
     scale_log2: int = 0,
 ) -> ClosedForm:
-    """Sum of 2^shift * chi1(x) * chi2(A x^k + B) over witnesses (x, shift), x = +-1."""
+    """Sum of 2^shift * chi1(x) * chi2(A x^k + B) over witnesses (x, shift), x = +-1,
+    each term folded onto the power basis by _fold, as evaluate_large's are."""
     m = inst.m
     r = ring_exponent_for(m)
     A, B = inst.A, inst.B
-    half = 1 << (r - 1)
     acc: dict[int, int] = {}
     for x, shift in witnesses:
         # A x^k + B at x = -1 is B - A for odd k; an even k meets x = -1 only on
         # the four-term path, where A is even and chi2 lives mod 4, so B - A works too
         y = B - A if x == -1 else B + A
         e, s = char_exp(chi2, y & ((1 << m) - 1), r)
-        coeff = (s if x == 1 else chi1.s * s) << shift
-        # _fold, inlined
-        e &= (1 << r) - 1
-        if e >= half:
-            e -= half
-            coeff = -coeff
-        acc[e] = acc.get(e, 0) + coeff
+        _fold(acc, r, e, (s if x == 1 else chi1.s * s) << shift)
     return _closed(case, r, acc, None, None, None, scale_log2)
 
 

@@ -14,7 +14,8 @@ counts onto the power basis once at the end, slot e less slot e + 2^(r-1).
 The fold compares every slot pair, a range of pairs at a time, and keeps only
 the nonzero differences, as sorted (exponent, coeff) terms: the shape of the
 closed form's terms, so no dense vector is built to compare them.
-`brute_force` and `half_sum` are dense `CycInt` views of such terms.
+`brute_force` and `half_sum` are dense views of such terms, expanded by
+`CycInt.from_terms` as `ClosedForm.value()` expands the closed form's.
 
 Parity hoist: for odd x the inner argument A*x^k + B is A + B mod 2, so an
 even A + B makes the sum zero outright, and otherwise every argument is odd.
@@ -222,14 +223,6 @@ def _sum(
     return _fold(cnt, len(cnt) >> 1)
 
 
-def _dense(m: int, terms: _Terms) -> CycInt:
-    r = ring_exponent_for(m)
-    coeffs = [0] * (1 << (r - 1))
-    for e, x in terms:
-        coeffs[e] = x
-    return CycInt(r, tuple(coeffs))
-
-
 def brute_terms(inst: SumInstance, chi1: Character, chi2: Character) -> _Terms:
     """The sum, term by term, as its nonzero (exponent, coeff) pairs in
     Z[zeta_{2^r}], r = ring_exponent_for(m), by ascending exponent."""
@@ -244,7 +237,7 @@ def brute_terms(inst: SumInstance, chi1: Character, chi2: Character) -> _Terms:
 
 def brute_force(inst: SumInstance, chi1: Character, chi2: Character) -> CycInt:
     """The sum, term by term, as an exact element of Z[zeta_{2^r}]: brute_terms, dense."""
-    return _dense(inst.m, brute_terms(inst, chi1, chi2))
+    return CycInt.from_terms(ring_exponent_for(inst.m), brute_terms(inst, chi1, chi2))
 
 
 def half_sum(inst: SumInstance, chi1: Character, chi2: Character, sign: int = 1) -> CycInt:
@@ -252,4 +245,5 @@ def half_sum(inst: SumInstance, chi1: Character, chi2: Character, sign: int = 1)
     if sign not in (1, -1):
         raise ValueError(f"sign must be +1 or -1, got {sign}")
     _check_cap(inst.m)
-    return _dense(inst.m, _sum(inst, chi1, chi2, ((sign * inst.A % (1 << inst.m), 0),), 1))
+    terms = _sum(inst, chi1, chi2, ((sign * inst.A % (1 << inst.m), 0),), 1)
+    return CycInt.from_terms(ring_exponent_for(inst.m), terms)

@@ -53,45 +53,37 @@ def cofactor_ratio(i: int, n: int, w: int) -> int:
 # that h.  Then y 5^(-l) = 1 + 2^h z mod 2^m, and since 2h >= m,
 # (1 + 2^h a)(1 + 2^h b) = 1 + 2^h (a + b) mod 2^m: the group 1 + 2^h Z/2^m is
 # cyclic and adds like Z/2^(m-h), generated by 5^(2^(h-2)) = 1 + 2^h u with u
-# odd.  So gamma = l + 2^(h-2) (z u^(-1) mod 2^(m-h)).  _LOG_WIDTHS[m] holds
-# the constants dlog5 reads at width m.  Both are filled on the first call at
+# odd.  So gamma = l + 2^(h-2) (z u^(-1) mod 2^(m-h)).  _log_width(m) holds
+# the constants dlog5 reads at width m.  Both caches fill on the first call at
 # their width, never at import; all tables (h <= 15) take about 128 KB.
-_LOG_TABLES: dict[int, tuple[array, array, int]] = {}
-_LOG_WIDTHS: list[tuple | None] = [None] * (MAX_M + 1)
-
-
+@lru_cache(maxsize=None)
 def _log_table(h: int) -> tuple[array, array, int]:
     """(logs, inverses, u) for width h >= 2: entry (y mod 2^h) >> 2 of logs is
     the l < 2^(h-2) with 5^l = y mod 2^h, and of inverses 5^(-l) mod 2^MAX_M;
     5^(2^(h-2)) = 1 + 2^h u mod 2^(2h)."""
-    tab = _LOG_TABLES.get(h)
-    if tab is None:
-        size = 1 << (h - 2)
-        logs = array("I", bytes(4 * size))
-        inverses = array("I", bytes(4 * size))
-        low, full = (1 << h) - 1, (1 << MAX_M) - 1
-        five_inv = pow(5, -1, 1 << MAX_M)
-        fwd = back = 1
-        for l in range(size):
-            i = fwd >> 2
-            logs[i] = l
-            inverses[i] = back
-            fwd = fwd * 5 & low
-            back = back * five_inv & full
-        u = (pow(5, size, 1 << (2 * h)) - 1) >> h
-        tab = _LOG_TABLES[h] = (logs, inverses, u)
-    return tab
+    size = 1 << (h - 2)
+    logs = array("I", bytes(4 * size))
+    inverses = array("I", bytes(4 * size))
+    low, full = (1 << h) - 1, (1 << MAX_M) - 1
+    five_inv = pow(5, -1, 1 << MAX_M)
+    fwd = back = 1
+    for l in range(size):
+        i = fwd >> 2
+        logs[i] = l
+        inverses[i] = back
+        fwd = fwd * 5 & low
+        back = back * five_inv & full
+    return logs, inverses, (pow(5, size, 1 << (2 * h)) - 1) >> h
 
 
+@lru_cache(maxsize=None)
 def _log_width(m: int) -> tuple:
     """dlog5's constants at width m: the table of h = max(ceil(m/2), 2), the
     masks of m, h and m - h bits, u^(-1) mod 2^(m-h) and the tail's shift."""
     h = max((m + 1) >> 1, 2)
     logs, inverses, u = _log_table(h)
     tail = (1 << (m - h)) - 1
-    consts = (logs, inverses, (1 << m) - 1, (1 << h) - 1, h, pow(u, -1, tail + 1), tail, h - 2)
-    _LOG_WIDTHS[m] = consts
-    return consts
+    return logs, inverses, (1 << m) - 1, (1 << h) - 1, h, pow(u, -1, tail + 1), tail, h - 2
 
 
 def dlog5(x: int, m: int) -> tuple[int, int]:
@@ -106,7 +98,7 @@ def dlog5(x: int, m: int) -> tuple[int, int]:
         raise ValueError(f"modulus exponent must be in [3, {MAX_M}], got {m}")
     if x % 2 == 0:
         raise ValueError(f"{x} is even; only odd residues decompose")
-    logs, inverses, mask, low, h, u_inv, tail, shift = _LOG_WIDTHS[m] or _log_width(m)
+    logs, inverses, mask, low, h, u_inv, tail, shift = _log_width(m)
     x &= mask
     if x & 2:
         eps, y = 1, mask + 1 - x

@@ -71,6 +71,17 @@ def test_bad_shape_rejected():
         CycInt(0, ())
 
 
+@given(cycints())
+def test_from_terms_expands_the_nonzero_terms(a):
+    # the one sparse-to-dense expansion inverts taking the nonzero coefficients
+    assert CycInt.from_terms(a.r, [(e, x) for e, x in enumerate(a.coeffs) if x]) == a
+
+
+def test_from_terms_examples():
+    assert CycInt.from_terms(3, ((0, 2), (3, -1))) == CycInt(3, (2, 0, 0, -1))
+    assert CycInt.from_terms(4, ()) == CycInt(4, (0,) * 8)
+
+
 def _approx(a):
     return approx_terms(a.r, enumerate(a.coeffs))
 

@@ -2,6 +2,7 @@ import functools
 import importlib.util
 import os
 import random
+import re
 import subprocess
 import sys
 from array import array
@@ -14,6 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import charsum
+import charsum.oracle as oracle
 from charsum.characters import Character, SumInstance, char_exp
 from charsum.cyclotomic import CycInt, ring_exponent_for
 from charsum.errors import MAX_ORACLE_M, WidthCapError
@@ -640,13 +642,14 @@ def test_oracle_never_calls_the_closed_forms_logs(monkeypatch):
 
 
 def _package_calls(func, *args) -> tuple:
-    """func(*args), and the (module, function) of every charsum Python function
-    it calls, as sys.setprofile sees them.  A cache hit runs no Python frame."""
+    """func(*args), and the (module, qualified name) of every charsum Python
+    function it calls, as sys.setprofile sees them.  A cache hit runs no
+    Python frame."""
     seen = Counter()
 
     def profile(frame, event, arg):
         if event == "call":
-            seen[frame.f_globals.get("__name__"), frame.f_code.co_name] += 1
+            seen[frame.f_globals.get("__name__"), frame.f_code.co_qualname] += 1
 
     sys.setprofile(profile)
     try:
@@ -656,15 +659,21 @@ def _package_calls(func, *args) -> tuple:
     return out, Counter({k: n for k, n in seen.items() if str(k[0]).startswith("charsum")})
 
 
-def test_closed_form_never_calls_the_oracle():
-    # the closed form's dlog5 and the oracle's _low_logs read the same 2-adic
-    # identity; the two must stay separate code.  A cache hit records no call
-    # of the cached function, so every lru_cache in the package starts empty.
+def _clear_package_caches() -> None:
+    """Empty every lru_cache in the package, so that the recorder sees each
+    cached function's first call again."""
     for name, module in list(sys.modules.items()):
         if name.startswith("charsum"):
             for value in list(vars(module).values()):
                 if callable(getattr(value, "cache_clear", None)):
                     value.cache_clear()
+
+
+def test_closed_form_never_calls_the_oracle():
+    # the closed form's dlog5 and the oracle's _low_logs read the same 2-adic
+    # identity; the two must stay separate code.  A cache hit records no call
+    # of the cached function, so every lru_cache in the package starts empty.
+    _clear_package_caches()
     seen, cases, regimes, paths = Counter(), set(), set(), set()
     for m, a, b, k, c1, s1, c2, s2 in sample_records(29, 3, 16, 600):
         inst, chi1, chi2 = SumInstance(m, a, b, k), Character(m, s1, c1), Character(m, s2, c2)
@@ -687,3 +696,116 @@ def test_closed_form_never_calls_the_oracle():
     assert seen["charsum.ring2adic", "cofactor_ratio"] and seen["charsum.characters", "char_exp"]
     inst, chi1, chi2 = SumInstance(9, 2, 1, 1), Character(9, 1, 2), Character(9, 1, 1)
     assert ("charsum.oracle", "brute_terms") in _package_calls(brute_terms, inst, chi1, chi2)[1]
+
+
+# ---------------------------------------------------------------------------
+# what both sides of each acceptance criterion share
+
+
+def _inputs(rec):
+    m, a, b, k, c1, s1, c2, s2 = rec
+    return SumInstance(m, a, b, k), Character(m, s1, c1), Character(m, s2, c2)
+
+
+def _counted_halves(rec):
+    if rec[0] > _COUNTED_M:
+        return []
+    inst, chi1, chi2 = _inputs(rec)
+    plus, mod = range(1, 1 << inst.m, 4), 1 << inst.m
+    return [counted_sum(inst, chi1, chi2, plus, sign * inst.A % mod) for sign in (1, -1)]
+
+
+# Each side of a criterion as a route from a raw sample record: the records
+# are built inside the recorded call, so their checks count as called.
+_ROUTES = {
+    "closed_form": lambda rec: closed_form(*_inputs(rec)),
+    "ClosedForm.value": lambda rec: closed_form(*_inputs(rec)).value(),
+    "brute_terms": lambda rec: brute_terms(*_inputs(rec)),
+    "brute_force": lambda rec: brute_force(*_inputs(rec)),
+    "half_sum": lambda rec: [half_sum(*_inputs(rec), sign) for sign in (1, -1)],
+    "ringref.counted_sum": _counted_halves,
+}
+_COUNTED_M = 10  # counted_sum makes two char_exp calls per x: it runs on m <= 10
+
+_CHECKS = {("charsum.characters", "SumInstance.__new__"), ("charsum.characters", "Character.__new__")}
+_RING = {("charsum.cyclotomic", "ring_exponent_for")}
+_CYCINT = {("charsum.cyclotomic", "CycInt.__new__")}
+_DENSE = _CYCINT | {("charsum.cyclotomic", "CycInt.from_terms")}
+_SUMMATION = {("charsum.oracle", f) for f in ("_check_cap", "_sum", "_low_logs", "_counts", "_fold")}
+_SWEEP = {"sweep._compare", "_pool_map"}
+
+# The README criteria table's "shared by both sides" column, one entry per
+# row that compares two routes: (criterion, route, route, the package
+# functions both routes call, the checker code that reads both sides).  A
+# defect in any of them can hide from that criterion.
+SHARED = (
+    (1, "closed_form", "brute_terms", _CHECKS | _RING, _SWEEP),
+    (2, "closed_form", "brute_terms", _CHECKS | _RING, _SWEEP),
+    (4, "brute_force", "half_sum", _CHECKS | _RING | _DENSE | _SUMMATION, set()),
+    (4, "half_sum", "ringref.counted_sum", _CHECKS | _RING | _CYCINT, set()),
+    (8, "ClosedForm.value", "brute_force", _CHECKS | _RING | _DENSE, set()),
+    (9, "closed_form", "brute_terms", _CHECKS | _RING, _SWEEP),
+)
+
+
+def _shared_calls(records) -> tuple[dict, list]:
+    """The package functions each route calls on records, recorded from
+    emptied caches, and the SHARED entries whose two routes call other
+    functions in common than the entry names, each with what they share."""
+    calls = {}
+    for name, route in _ROUTES.items():
+        _clear_package_caches()
+        seen = Counter()
+        for rec in records:
+            seen += _package_calls(route, rec)[1]
+        calls[name] = set(seen)
+    return calls, [
+        (num, left, right, sorted(calls[left] & calls[right]))
+        for num, left, right, shared, _ in SHARED
+        if calls[left] & calls[right] != shared
+    ]
+
+
+def _spelled(qualname: str) -> str:
+    """A recorded function as the README names it: a class for its __new__."""
+    return qualname.removesuffix(".__new__")
+
+
+# every case tag, regime and normalize path (test_closed_form_never_calls_the_oracle)
+_SHARED_RECORDS = list(sample_records(29, 3, 16, 600))
+
+
+def test_both_sides_share_exactly_the_readme_column():
+    calls, mismatches = _shared_calls(_SHARED_RECORDS)
+    assert not mismatches
+    # the recorder is live on a cleared run: the cached dlog tables show
+    for name in ("_log_table", "_log_width"):
+        assert ("charsum.ring2adic", name) in calls["closed_form"]
+        assert ("charsum.ring2adic", name) in calls["ringref.counted_sum"]
+    assert ("charsum.oracle", "_low_logs") in calls["brute_terms"]
+    # the README table names the same functions, row by row
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    rows = {}
+    for line in readme.splitlines():
+        cells = [c.strip() for c in re.split(r"(?<!\\)\|", line)]
+        if len(cells) == 6 and cells[1].isdigit():
+            rows.setdefault(int(cells[1]), []).append(set(re.findall(r"`([^`]+)`", cells[4])))
+    for num, _, _, shared, checker in SHARED:
+        assert rows[num].pop(0) == {_spelled(q) for _, q in shared} | checker, num
+    assert not any(rows[num] for num, *_ in SHARED)
+
+
+def test_shared_code_check_sees_an_oracle_that_calls_char_exp(monkeypatch):
+    # teeth: an oracle that takes one log per count vector from char_exp
+    # shares it (and dlog5) with the closed form and with the per-x count,
+    # and every row of the check reports it
+    counts = oracle._counts
+
+    def leaky_counts(inst, chi1, chi2, halves, weight):
+        char_exp(chi2, 1, ring_exponent_for(inst.m))
+        return counts(inst, chi1, chi2, halves, weight)
+
+    monkeypatch.setattr(oracle, "_counts", leaky_counts)
+    mismatches = _shared_calls(_SHARED_RECORDS)[1]
+    assert len(mismatches) == len(SHARED)
+    assert all(("charsum.characters", "char_exp") in shared for *_, shared in mismatches)

@@ -163,12 +163,15 @@ def test_dlog5_tables_are_exact_permutations():
 
 
 def test_importing_the_cli_builds_no_dlog_table():
-    # the tables are built on dlog5's first call at each width, never at import
+    # the tables are built on dlog5's first call at each width, never at import;
+    # after dlog5(3, 20) each cache holds one entry, and probing h = 10 and
+    # m = 20 hits it: exactly that table and that width exist
     script = (
         "import charsum.cli, charsum.ring2adic as r; "
-        "print(len(r._LOG_TABLES), sum(w is not None for w in r._LOG_WIDTHS)); "
-        "r.dlog5(3, 20); "
-        "print(sorted(r._LOG_TABLES), [m for m, w in enumerate(r._LOG_WIDTHS) if w])"
+        "t, w = r._log_table, r._log_width; "
+        "print(t.cache_info().currsize, w.cache_info().currsize); "
+        "r.dlog5(3, 20); t(10); w(20); "
+        "print(*((c.hits, c.misses, c.currsize) for c in (t.cache_info(), w.cache_info())))"
     )
     src = os.path.dirname(os.path.dirname(charsum.__file__))
     env = {**os.environ, "PYTHONPATH": src}
@@ -176,7 +179,7 @@ def test_importing_the_cli_builds_no_dlog_table():
         [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.splitlines() == ["0 0", "[10] [20]"]
+    assert proc.stdout.splitlines() == ["0 0", "(1, 1, 1) (1, 1, 1)"]
 
 
 def test_dlog5_refuses_widths_above_max_m():
