@@ -669,13 +669,17 @@ def _clear_package_caches() -> None:
                     value.cache_clear()
 
 
+# every case tag, regime and normalize path, from even and odd A
+_SHARED_RECORDS = list(sample_records(29, 3, 16, 600))
+
+
 def test_closed_form_never_calls_the_oracle():
     # the closed form's dlog5 and the oracle's _low_logs read the same 2-adic
     # identity; the two must stay separate code.  A cache hit records no call
     # of the cached function, so every lru_cache in the package starts empty.
     _clear_package_caches()
     seen, cases, regimes, paths = Counter(), set(), set(), set()
-    for m, a, b, k, c1, s1, c2, s2 in sample_records(29, 3, 16, 600):
+    for m, a, b, k, c1, s1, c2, s2 in _SHARED_RECORDS:
         inst, chi1, chi2 = SumInstance(m, a, b, k), Character(m, s1, c1), Character(m, s2, c2)
         cf, calls = _package_calls(closed_form, inst, chi1, chi2)
         seen += calls
@@ -707,6 +711,9 @@ def _inputs(rec):
     return SumInstance(m, a, b, k), Character(m, s1, c1), Character(m, s2, c2)
 
 
+_COUNTED_M = 10  # counted_sum makes two char_exp calls per x: it runs on m <= 10
+
+
 def _counted_halves(rec):
     if rec[0] > _COUNTED_M:
         return []
@@ -725,7 +732,6 @@ _ROUTES = {
     "half_sum": lambda rec: [half_sum(*_inputs(rec), sign) for sign in (1, -1)],
     "ringref.counted_sum": _counted_halves,
 }
-_COUNTED_M = 10  # counted_sum makes two char_exp calls per x: it runs on m <= 10
 
 _CHECKS = {("charsum.characters", "SumInstance.__new__"), ("charsum.characters", "Character.__new__")}
 _RING = {("charsum.cyclotomic", "ring_exponent_for")}
@@ -769,10 +775,6 @@ def _shared_calls(records) -> tuple[dict, list]:
 def _spelled(qualname: str) -> str:
     """A recorded function as the README names it: a class for its __new__."""
     return qualname.removesuffix(".__new__")
-
-
-# every case tag, regime and normalize path (test_closed_form_never_calls_the_oracle)
-_SHARED_RECORDS = list(sample_records(29, 3, 16, 600))
 
 
 def test_both_sides_share_exactly_the_readme_column():
