@@ -57,9 +57,13 @@ MUTANTS = [
     Mutant("M8", EVALUATOR, "if len(witnesses) == 2 and regime == REGIME_MIDRANGE:",
            "if len(witnesses) == 2:",
            "assert cannot-both-vanish in every regime, EdgeT2 and EdgeT3 included"),
-    Mutant("V1", EVALUATOR, "        return tuple(t for t in terms if t[1])\n",
-           "        return tuple(terms)\n",
-           "_terms keeps zero coefficients"),
+    Mutant("V1", EVALUATOR, "            terms = ((e1, c1),) if c1 else ()\n",
+           "            terms = ((e1, c1),)\n",
+           "a cancelled merge in _closed keeps its zero coefficient"),
+    Mutant("Q1", EVALUATOR, "        elif e2 - e1 == half >> 1:\n",
+           "        elif e2 != e1:\n",
+           "_closed takes any two distinct exponents for a quarter turn, so its "
+           "|S|^2 = c1^2 + c2^2 holds off one too"),
     Mutant("D1", RING2ADIC, ", tail, h - 2\n", ", tail, h - 1\n",
            "dlog5 shifts its linear tail by h - 1 bits, not h - 2"),
     Mutant("S1", SWEEP, "        run = recs[i : i + _PHASE]\n        cfs, matches, tc, tb",

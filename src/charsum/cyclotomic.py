@@ -7,8 +7,10 @@ Values are kept sparse, as sorted (exponent, coeff) pairs with nonzero
 coefficients: the closed form's terms and the summation oracle's
 `brute_terms` have that shape, so their equality is tuple equality, and the
 helpers here square, print and approximate such terms without densifying
-them.  CycInt is the dense form, for `ClosedForm.value()` and the oracle's
-`brute_force` and `half_sum` views; all three expand their terms through
+them.  `abs2_terms` squares any term list, for the sweep's magnitude check
+(criterion 3); the closed form squares its one or two terms itself.  CycInt
+is the dense form, for `ClosedForm.value()` and the oracle's `brute_force`
+and `half_sum` views; all three expand their terms through
 `CycInt.from_terms`, the one sparse-to-dense expansion in the package.
 """
 

@@ -20,11 +20,11 @@ MAX_SWEEP_TERMS = 1 << 32
 # what a sweep charges each record for its fixed cost (closed form, compare,
 # harness), in oracle terms: when this was set, a record at m = 3 took 13 us
 # in `run_check` with jobs 1 and the oracle 16-23 ns per term at m = 16..22,
-# so 570-820 terms, rounded up to 2^10.  A record at m = 3 now takes
-# 8.7-9.1 us in phase runs, 11.6-13.0 us compared record by record (20k
-# records, best of 3, 4 alternating runs), worth 0.8-2.3 * 10^4 of today's
-# terms at m = 16..24, so the price charges large-m records 8-22x more than
-# small-m ones for their time
+# so 570-820 terms, rounded up to 2^10.  In `run_check` (jobs 1, phase runs,
+# sampled records, best of 3, 2-vCPU VM) a record now takes 7.3-7.4 us at
+# m = 3, 43 us at m = 16, 2.7 ms at m = 24 and 35-36 ms at m = 26, so per us
+# of work the price charges a record about 6x more at m = 16 and at m = 26
+# than at m = 3, 12-22x more at m = 18..24, and 0.6-0.7x as much at m = 6..10
 RECORD_COST_TERMS = 1 << 10
 
 

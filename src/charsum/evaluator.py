@@ -7,12 +7,13 @@ evaluate: the Large regime (m - n > 2t + 4) by its characteristic witness,
 every other regime, and the four-term sums left by characters mod 4, by the
 collapse onto x = +-1, where each surviving witness contributes
 2^(m-2) or 2^(m-1) times chi1(x) chi2(A x^k + B).  Every nonzero value is a
-power of sqrt(2) times one or two roots of unity, so results are carried as
-sparse exact term lists (ClosedForm.value() expands one to a dense ring
-element through CycInt.from_terms, the package's one dense expansion); the
-structured evaluation costs poly(m) arithmetic at every valuation: the Large
-regime solves its characteristic congruence for the smallest root directly,
-without enumerating the 2^(n + 2t + min(1, t)) solutions.
+power of sqrt(2) times one or two roots of unity, so a result is one or two
+sparse exact terms, folded and merged once in _closed, which checks |S|^2 in
+closed form (ClosedForm.value() expands them through CycInt.from_terms, the
+package's one dense expansion); the structured evaluation costs poly(m)
+arithmetic at every valuation: the Large regime solves its characteristic
+congruence for the smallest root directly, without enumerating the
+2^(n + 2t + min(1, t)) solutions.
 
 Witness data (x0, the parity of lambda, h) follows the sparse value around
 so verification runs can re-derive everything from the report alone.
@@ -26,7 +27,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .characters import Character, SumInstance, char_exp
-from .cyclotomic import CycInt, abs2_terms, approx_terms, ring_exponent_for, terms_json
+from .cyclotomic import CycInt, approx_terms, ring_exponent_for, terms_json
 from .errors import MAX_M
 from .frozen import Frozen
 from .ring2adic import cofactor_ratio, dlog5, jacobi2
@@ -115,47 +116,49 @@ _ZEROS = {
 
 
 # ---------------------------------------------------------------------------
-# sparse term helpers
-
-def _fold(acc: dict[int, int], r: int, exp: int, coeff: int) -> None:
-    half = 1 << (r - 1)
-    exp &= (1 << r) - 1
-    if exp >= half:
-        exp -= half
-        coeff = -coeff
-    acc[exp] = acc.get(exp, 0) + coeff
-
-
-def _terms(acc: dict[int, int]) -> tuple[tuple[int, int], ...]:
-    terms = sorted(acc.items())
-    if 0 in acc.values():
-        return tuple(t for t in terms if t[1])
-    return tuple(terms)
-
-
-def _sparse_abs2_log2(terms: tuple[tuple[int, int], ...], r: int) -> int:
-    """v with S * conj(S) = 2^v, computed sparsely.  Every nonzero value this
-    evaluator produces has that shape; anything else is a bug."""
-    abs2 = abs2_terms(r, terms)
-    if len(abs2) != 1 or 0 not in abs2:
-        raise AssertionError(f"|S|^2 not rational: {sorted(abs2.items())}")
-    sq = abs2[0]
-    if sq <= 0 or sq & (sq - 1):
-        raise AssertionError(f"|S|^2 not a power of two: {sq}")
-    return sq.bit_length() - 1
-
+# result assembly
 
 def _closed(
-    case: str,
-    r: int,
-    acc: dict[int, int],
-    x0: int | None,
-    lam: int | None,
-    h: int | None,
-    scale_log2: int,
+    case: str, r: int, pairs, x0: int | None, lam: int | None, h: int | None, scale_log2: int
 ) -> ClosedForm:
-    terms = _terms(acc)
-    mag = _sparse_abs2_log2(terms, r) if terms else None
+    """One or two contributions coeff * zeta^exponent, folded onto the power
+    basis (zeta^(e + 2^(r-1)) = -zeta^e) and merged, with |S|^2 checked in
+    closed form: c^2 for one term, c1^2 + c2^2 for two a quarter turn
+    (2^(r-2)) apart; any other pair is irrational.  Not a power of two is a bug."""
+    half = 1 << (r - 1)
+    full = (half << 1) - 1
+    e1, c1 = pairs[0]
+    e1 &= full
+    if e1 >= half:
+        e1 -= half
+        c1 = -c1
+    if len(pairs) == 1:
+        terms = ((e1, c1),)
+        sq = c1 * c1
+    elif len(pairs) == 2:
+        e2, c2 = pairs[1]
+        e2 &= full
+        if e2 >= half:
+            e2 -= half
+            c2 = -c2
+        if e2 < e1:
+            e1, c1, e2, c2 = e2, c2, e1, c1
+        if e1 == e2:
+            c1 += c2
+            terms = ((e1, c1),) if c1 else ()
+            sq = c1 * c1
+        elif e2 - e1 == half >> 1:
+            terms = ((e1, c1), (e2, c2))
+            sq = c1 * c1 + c2 * c2
+        else:
+            raise AssertionError(f"|S|^2 not rational: terms {(e1, c1), (e2, c2)} in ring 2^{r}")
+    else:
+        raise AssertionError(f"{len(pairs)} contributions: a closed form has at most two terms")
+    if not terms:
+        return tuple.__new__(ClosedForm, (case, r, (), None, x0, lam, h, scale_log2))
+    if sq <= 0 or sq & (sq - 1):
+        raise AssertionError(f"|S|^2 not a power of two: {sq}")
+    mag = sq.bit_length() - 1
     return tuple.__new__(ClosedForm, (case, r, terms, mag, x0, lam, h, scale_log2))
 
 
@@ -334,21 +337,16 @@ def evaluate_large(
     sign = s1 * s2
     e = e1 + e2
     half_pow = ((m + n) >> 1) + t + min(1, t)
-    acc: dict[int, int] = {}
     if (m - n) % 2 == 0:
-        _fold(acc, r, e, sign << half_pow)
-        case = CASE_LARGE_EVEN
-        h = None
+        cf = _closed(CASE_LARGE_EVEN, r, ((e, sign << half_pow),), x0, lam, None, 0)
     else:
         c3 = c1 >> nt
         h = (2 * lam + (params.k1 - 1) + (pow(2, n, 8) - 1) * c3) & 7
         coeff = (sign * jacobi2(h)) << half_pow
         step8 = 1 << (r - 3)
-        # sqrt(2) * omega^h = zeta_8^(h+1) - zeta_8^(h+3)
-        _fold(acc, r, e + (h + 1) * step8, coeff)
-        _fold(acc, r, e + (h + 3) * step8, -coeff)
-        case = CASE_LARGE_ODD
-    cf = _closed(case, r, acc, x0, lam, h, 0)
+        # sqrt(2) * omega^h = zeta_8^(h+1) - zeta_8^(h+3), a quarter turn apart
+        pairs = ((e + (h + 1) * step8, coeff), (e + (h + 3) * step8, -coeff))
+        cf = _closed(CASE_LARGE_ODD, r, pairs, x0, lam, h, 0)
     if cf.magnitude_halves != m + n + 2 * t + 2 * min(1, t):
         raise AssertionError("magnitude disagrees with the regime formula")
     return cf
@@ -408,18 +406,18 @@ def _collapse(
     scale_log2: int = 0,
 ) -> ClosedForm:
     """Sum of 2^shift * chi1(x) * chi2(A x^k + B) over witnesses (x, shift), x = +-1,
-    each term folded onto the power basis by _fold, as evaluate_large's are."""
+    assembled by _closed, as evaluate_large's terms are."""
     m = inst.m
     r = ring_exponent_for(m)
     A, B = inst.A, inst.B
-    acc: dict[int, int] = {}
+    pairs = []
     for x, shift in witnesses:
         # A x^k + B at x = -1 is B - A for odd k; an even k meets x = -1 only on
         # the four-term path, where A is even and chi2 lives mod 4, so B - A works too
         y = B - A if x == -1 else B + A
         e, s = char_exp(chi2, y & ((1 << m) - 1), r)
-        _fold(acc, r, e, (s if x == 1 else chi1.s * s) << shift)
-    return _closed(case, r, acc, None, None, None, scale_log2)
+        pairs.append((e, (s if x == 1 else chi1.s * s) << shift))
+    return _closed(case, r, pairs, None, None, None, scale_log2)
 
 
 def _rescale(inner: ClosedForm, outer_m: int, scale_log2: int) -> ClosedForm:

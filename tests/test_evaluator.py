@@ -1,6 +1,7 @@
 import importlib.util
 import pickle
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import charsum.characters
 import charsum.evaluator
 from charsum.characters import Character
-from charsum.cyclotomic import CycInt
+from charsum.cyclotomic import CycInt, abs2_terms
 from charsum.errors import WidthCapError
 from charsum.evaluator import (
     CASE_LARGE_EVEN,
@@ -36,6 +37,7 @@ from charsum.evaluator import (
 )
 from charsum.oracle import brute_force
 from charsum.ring2adic import dlog5, v2
+from charsum.sweep import sample_records
 from ringref import (
     add,
     char_conj,
@@ -393,13 +395,58 @@ def test_evaluate_large_refuses_a_witness_off_the_congruence():
         evaluate_large(inst, chi1, chi2, derive(inst), x0=x0)
 
 
-@pytest.mark.parametrize("terms, match", [
-    (((0, 1), (1, 1)), r"\|S\|\^2 not rational"),  # |1 + zeta_8|^2 = 2 + sqrt(2)
-    (((0, 3),), r"\|S\|\^2 not a power of two"),
-], ids=["irrational", "not-a-power-of-two"])
-def test_magnitude_self_check_refuses_values_no_regime_produces(terms, match):
+def _assemble(r, pairs, scale_log2=0):
+    return charsum.evaluator._closed(CASE_REDUCED, r, pairs, None, None, None, scale_log2)
+
+
+@pytest.mark.parametrize("r, pairs, match", [
+    (3, ((0, 1), (1, 1)), r"\|S\|\^2 not rational"),  # |1 + zeta_8|^2 = 2 + sqrt(2)
+    (3, ((0, 3),), r"\|S\|\^2 not a power of two"),
+    (3, ((0, 1), (2, 2)), r"\|S\|\^2 not a power of two"),  # |1 + 2i|^2 = 5
+    (4, ((0, 1), (2, 1)), r"\|S\|\^2 not rational"),  # zeta_16^2 is no quarter turn
+    (5, ((0, 1), (8, 1), (16, 1)), "at most two terms"),
+], ids=["irrational", "not-a-power-of-two", "quarter-turn-not-a-power-of-two",
+        "off-a-quarter-turn", "three-contributions"])
+def test_magnitude_self_check_refuses_values_no_regime_produces(r, pairs, match):
     with pytest.raises(AssertionError, match=match):
-        charsum.evaluator._sparse_abs2_log2(terms, 3)
+        _assemble(r, pairs)
+
+
+def test_closed_cancels_x_minus_one_against_x_plus_one():
+    # zeta^19 = -zeta^3 in ring 2^5: the two contributions cancel after the fold
+    cf = _assemble(5, ((3, 4), (19, 4)), scale_log2=2)
+    assert cf.terms == () and cf.magnitude_halves is None
+    assert (cf.case, cf.ring_exponent, cf.scale_log2) == (CASE_REDUCED, 5, 2)
+
+
+def test_closed_merges_a_repeated_term():
+    assert _assemble(5, ((7, 2), (7, 2))).terms == ((7, 4),)
+    assert _assemble(5, ((7, 2), (23, -2))).magnitude_halves == 4
+
+
+@pytest.mark.parametrize("e", [21, 53, 85], ids=["above-half", "above-ring", "two-turns-up"])
+def test_closed_folds_a_high_exponent_with_a_sign_flip(e):
+    # 21 = 5 + 2^4, and 53, 85 add whole turns of zeta_32
+    cf = _assemble(5, ((e, 8),))
+    assert cf.terms == ((5, -8),) and cf.magnitude_halves == 6
+
+
+def test_closed_sorts_two_terms_a_quarter_turn_apart():
+    # zeta^13 = -zeta^5 in ring 2^4, and 5 - 1 = 2^(4-2)
+    cf = _assemble(4, ((13, 2), (1, 2)))
+    assert cf.terms == ((1, 2), (5, -2)) and cf.magnitude_halves == 3
+
+
+def test_closed_magnitude_is_the_generic_abs2():
+    # abs2_terms, the generic O(T^2) product that the evaluator does not call,
+    # is the test-side reference for _closed's closed-form |S|^2
+    sizes = Counter()
+    for m, a, b, k, c1, s1, c2, s2 in sample_records(41, 3, 30, 4000):
+        cf = closed_form(SumInstance(m, a, b, k), Character(m, s1, c1), Character(m, s2, c2))
+        if cf.terms:
+            sizes[len(cf.terms)] += 1
+            assert abs2_terms(cf.ring_exponent, cf.terms) == {0: 1 << cf.magnitude_halves}
+    assert sizes[1] >= 1000 and sizes[2] >= 400
 
 
 def test_large_solution_dlog_progression():
