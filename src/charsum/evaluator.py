@@ -123,8 +123,8 @@ def _closed(
 ) -> ClosedForm:
     """One or two contributions coeff * zeta^exponent, folded onto the power
     basis (zeta^(e + 2^(r-1)) = -zeta^e) and merged, with |S|^2 checked in
-    closed form: c^2 for one term, c1^2 + c2^2 for two a quarter turn
-    (2^(r-2)) apart; any other pair is irrational.  Not a power of two is a bug."""
+    closed form: c^2 for one term, c1^2 + c2^2 for two 2^(r-2) apart (a quarter
+    turn).  Any other pair (irrational), more terms, or no power of 2 is a bug."""
     half = 1 << (r - 1)
     full = (half << 1) - 1
     e1, c1 = pairs[0]
