@@ -62,8 +62,8 @@ MUTANTS = [
            "a cancelled merge in _closed keeps its zero coefficient"),
     Mutant("Q1", EVALUATOR, "        elif e2 - e1 == half >> 1:\n",
            "        elif e2 != e1:\n",
-           "_closed takes any two distinct exponents for a quarter turn, so its "
-           "|S|^2 = c1^2 + c2^2 holds off one too"),
+           "_closed takes any two distinct exponents for a quarter turn and "
+           "squares them as c1^2 + c2^2"),
     Mutant("D1", RING2ADIC, ", tail, h - 2\n", ", tail, h - 1\n",
            "dlog5 shifts its linear tail by h - 1 bits, not h - 2"),
     Mutant("S1", SWEEP, "        run = recs[i : i + _PHASE]\n        cfs, matches, tc, tb",

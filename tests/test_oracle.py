@@ -694,8 +694,8 @@ def test_closed_form_never_calls_the_oracle():
     # every normalize outcome, from an even A and from an odd A (swapped first)
     assert paths == {(kind, odd) for kind in ("zero", "standard", "reduced", "direct") for odd in (0, 1)}
     assert not [k for k in seen if k[0] == "charsum.oracle"], sorted(seen)
-    # criterion 3 squares each Large result with abs2_terms against the regime
-    # formula; the closed form's own magnitude check shares neither
+    # criterion 3 squares each Large result with abs2_terms and reads its n and
+    # t with v2; the closed form checks its own magnitude and calls neither
     assert not {("charsum.cyclotomic", "abs2_terms"), ("charsum.ring2adic", "v2")} & set(seen)
     # the recorder is live on both routes: the closed form's own layers show,
     # and so does the oracle when it is the one called
