@@ -27,6 +27,7 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 CYCLOTOMIC = "src/charsum/cyclotomic.py"
 EVALUATOR = "src/charsum/evaluator.py"
+FROZEN = "src/charsum/frozen.py"
 ORACLE = "src/charsum/oracle.py"
 RING2ADIC = "src/charsum/ring2adic.py"
 SWEEP = "src/charsum/sweep.py"
@@ -49,8 +50,17 @@ MUTANTS = [
            "the small regimes test C(+-1) mod 2^(m-3)"),
     Mutant("E2", EVALUATOR, "c1 & -c1 != 1 << nt", "c1 & -c1 < 1 << nt",
            "Large accepts v2(c1) > n + t"),
+    Mutant("E4", EVALUATOR, '("direct", None, inst, chi1, chi2, d))',
+           '("direct", None, inst, chi1, chi2, d - 1))',
+           "normalize scales a four-term sum by 2^(m-3), not 2^(m-2)"),
     Mutant("E6", EVALUATOR, "chi1.s * chi2.s if k & 1 else chi1.s", "chi1.s * chi2.s",
            "the swap multiplies s1 by s2 for even k too"),
+    Mutant("T1", EVALUATOR, "plus if chi1.s == 1 and chi1.c == 1 << (m - 2) else ()",
+           "plus if chi1.c == 1 << (m - 2) else ()",
+           "Tiny drops chi1's sign test: chi1(-1) = -1 keeps the x = +1 witness"),
+    Mutant("Z1", EVALUATOR, "bit_length() - 1 if A else m  #",
+           "bit_length() - 1 if A else m - 1  #",
+           "derive reads A = 0 as valuation m - 1, not m"),
     Mutant("M7", EVALUATOR, "        if cf.terms:\n            return cf\n",
            "        return cf\n",
            "drop the cancel fallback: cancelling witnesses return a fresh empty result"),
@@ -64,6 +74,11 @@ MUTANTS = [
            "        elif e2 != e1:\n",
            "_closed takes any two distinct exponents for a quarter turn and "
            "squares them as c1^2 + c2^2"),
+    Mutant("F1", FROZEN, "    def __ne__(self, other) -> bool:\n"
+           "        # tuple's own __ne__ ignores the type as well\n"
+           "        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)\n\n",
+           "", "Frozen loses __ne__: tuple's, which ignores the type, says a record "
+           "equals a plain tuple of its fields"),
     Mutant("D1", RING2ADIC, ", tail, h - 2\n", ", tail, h - 1\n",
            "dlog5 shifts its linear tail by h - 1 bits, not h - 2"),
     Mutant("S1", SWEEP, "        run = recs[i : i + _PHASE]\n        cfs, matches, tc, tb",

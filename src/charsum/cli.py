@@ -38,6 +38,12 @@ def _add_instance_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--s2", type=int, default=1, choices=(1, -1), help="chi2(-1)")
 
 
+def _add_jobs_flag(p: argparse.ArgumentParser) -> None:
+    p.add_argument("--jobs", type=_positive_int, default=None,
+                   help="most processes, this one included (default: CPU count): a "
+                        "block of records uses one per 2^20 priced oracle terms")
+
+
 def _check_m(flag: str, m: int, cap: int) -> None:
     """Refuse m outside [3, cap] before anything of size 2^m is built:
     below 3 is a usage error (exit 2), above cap a width cap (exit 3)."""
@@ -241,9 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="full grid over characters, A, odd B for each m")
     p.add_argument("--k-list", dest="k_list", type=_parse_int_list, default=None,
                    help="comma-separated k values (needs --exhaustive)")
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="most processes, this one included (default: CPU count): a "
-                        "block of records uses one per 2^20 priced oracle terms")
+    _add_jobs_flag(p)
     p.set_defaults(func=cmd_check)
 
     p = sub.add_parser("bench", help="time closed form vs oracle on one instance")
@@ -260,9 +264,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--c2-list", dest="c2_list", type=_parse_int_list, default=())
     p.add_argument("--s1-list", dest="s1_list", type=_parse_int_list, default=())
     p.add_argument("--s2-list", dest="s2_list", type=_parse_int_list, default=())
-    p.add_argument("--jobs", type=_positive_int, default=None,
-                   help="most processes, this one included (default: CPU count): a "
-                        "block of records uses one per 2^20 priced oracle terms")
+    _add_jobs_flag(p)
     p.set_defaults(func=cmd_grid)
     return ap
 

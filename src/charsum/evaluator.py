@@ -4,16 +4,18 @@ The pipeline: normalize (parity vanishing, inverting the summation variable
 when B is even, imprimitivity rules, modulus reduction), derive the 2-adic
 shape n = v2(A), t = v2(k), classify the regime by m - n against t, then
 evaluate: the Large regime (m - n > 2t + 4) by its characteristic witness,
-every other regime, and the four-term sums left by characters mod 4, by the
-collapse onto x = +-1, where each surviving witness contributes
-2^(m-2) or 2^(m-1) times chi1(x) chi2(A x^k + B).  Every nonzero value is a
-power of sqrt(2) times one or two roots of unity, so a result is one or two
-sparse exact terms, folded and merged once in _closed, which checks |S|^2 in
-closed form (ClosedForm.value() expands them through CycInt.from_terms, the
-package's one dense expansion); the structured evaluation costs poly(m)
-arithmetic at every valuation: the Large regime solves its characteristic
-congruence for the smallest root directly, without enumerating the
-2^(n + 2t + min(1, t)) solutions.
+every other regime by the collapse onto x = +-1, where each surviving
+witness contributes 2^(m-2) or 2^(m-1) times chi1(x) chi2(A x^k + B).  A
+sum whose characters factor through 2^(m-d) is 2^d times a sum mod 2^(m-d),
+the four-term sum of characters mod 4 (d = m - 2) included, and _rescale
+applies that 2^d on every path.  Every nonzero value is a power of sqrt(2)
+times one or two roots of unity, so a result is one or two sparse exact
+terms, folded and merged once in _closed, which checks |S|^2 in closed form
+(ClosedForm.value() expands them through CycInt.from_terms, the package's
+one dense expansion); the structured evaluation costs poly(m) arithmetic at
+every valuation: the Large regime solves its characteristic congruence for
+the smallest root directly, without enumerating the 2^(n + 2t + min(1, t))
+solutions.
 
 Witness data (x0, the parity of lambda, h) follows the sparse value around
 so verification runs can re-derive everything from the report alone.
@@ -63,8 +65,8 @@ class NormalizedProblem(
 ):
     """Outcome of normalize(): a terminal zero (kind "zero", zero_case set),
     a four-term sum ("direct"), or a standard-form problem ("standard": A
-    even, B odd, chi2 primitive) plus the power of two the modulus reduction
-    multiplied every term class by.  inst, chi1 and chi2 are None for a zero."""
+    even, B odd, chi2 primitive), plus d = scale_log2 when both characters
+    factor through 2^(m-d) (m - 2 for "direct").  inst, chi1 and chi2 are None for a zero."""
 
     __slots__ = ()
 
@@ -78,9 +80,9 @@ class ClosedForm(Frozen, namedtuple(
     2^ring_exponent, empty exactly when the sum vanishes.  magnitude_halves
     gives |S| = 2^(magnitude_halves / 2) for nonzero values.  x0 is the
     chosen characteristic-equation witness, lambda_parity and h the data
-    selecting the eighth-root factor; scale_log2 records the multiplicity
-    applied by modulus reduction.  For reduced instances the witnesses refer
-    to the reduced problem.
+    selecting the eighth-root factor; scale_log2 is the power of two _rescale
+    multiplied the reduced sum by (0 when nothing was reduced), on every
+    path.  For reduced instances the witnesses refer to the reduced problem.
     """
 
     __slots__ = ()
@@ -119,7 +121,7 @@ _ZEROS = {
 # result assembly
 
 def _closed(
-    case: str, r: int, pairs, x0: int | None, lam: int | None, h: int | None, scale_log2: int
+    case: str, r: int, pairs, x0: int | None, lam: int | None, h: int | None
 ) -> ClosedForm:
     """One or two contributions coeff * zeta^exponent, folded onto the power
     basis (zeta^(e + 2^(r-1)) = -zeta^e) and merged, with |S|^2 checked in
@@ -155,11 +157,11 @@ def _closed(
     else:
         raise AssertionError(f"{len(pairs)} contributions: a closed form has at most two terms")
     if not terms:
-        return tuple.__new__(ClosedForm, (case, r, (), None, x0, lam, h, scale_log2))
+        return tuple.__new__(ClosedForm, (case, r, (), None, x0, lam, h, 0))
     if sq <= 0 or sq & (sq - 1):
         raise AssertionError(f"|S|^2 not a power of two: {sq}")
     mag = sq.bit_length() - 1
-    return tuple.__new__(ClosedForm, (case, r, terms, mag, x0, lam, h, scale_log2))
+    return tuple.__new__(ClosedForm, (case, r, terms, mag, x0, lam, h, 0))
 
 
 # ---------------------------------------------------------------------------
@@ -177,10 +179,10 @@ def normalize(inst: SumInstance, chi1: Character, chi2: Character) -> Normalized
     summing over x^(-1), which swaps A with B and replaces chi1 by
     conj(chi1 * chi2^k) = (s1 * s2^k, -(c1 + k*c2)).  A primitive (odd c) chi1
     against an imprimitive chi2 forces the sum to vanish.  Otherwise both
-    factor through 2^(m - d), d = v2(c1 | c2): at d = m - 2 both live mod 4,
-    a four-term sum closed_form collapses onto x = +-1; below, the problem
-    drops once to 2^(m - d), parameters c >> d and each term class hit 2^d
-    times, where one parameter is odd and the rule above applies once more.
+    factor through 2^(m - d), d = v2(c1 | c2), each term class hit 2^d times:
+    at d = m - 2 both live mod 4, a four-term sum over x = +-1; below, the
+    problem drops once to 2^(m - d), parameters c >> d, where one parameter
+    is odd and the rule above applies once more.
     """
     m, A, B, k = inst
     if chi1.m != m or chi2.m != m:
@@ -218,10 +220,7 @@ def derive(inst: SumInstance) -> DerivedParams:
     m, A, k = inst.m, inst.A, inst.k
     t = (k & -k).bit_length() - 1  # v2(k)
     k1 = k >> t
-    if A == 0:
-        # A = 0 mod 2^m behaves as valuation >= m: deepest Tiny shape
-        return tuple.__new__(DerivedParams, (m, t, k1, None, None, REGIME_TINY))
-    n = (A & -A).bit_length() - 1  # v2(A)
+    n = (A & -A).bit_length() - 1 if A else m  # v2(A); A = 0 reads as the deepest, m
     d = m - n
     m_exp = ((m + n) >> 1) + t
     if d < t + 2:
@@ -338,7 +337,7 @@ def evaluate_large(
     e = e1 + e2
     half_pow = ((m + n) >> 1) + t + min(1, t)
     if (m - n) % 2 == 0:
-        cf = _closed(CASE_LARGE_EVEN, r, ((e, sign << half_pow),), x0, lam, None, 0)
+        cf = _closed(CASE_LARGE_EVEN, r, ((e, sign << half_pow),), x0, lam, None)
     else:
         c3 = c1 >> nt
         h = (2 * lam + (params.k1 - 1) + (pow(2, n, 8) - 1) * c3) & 7
@@ -346,7 +345,7 @@ def evaluate_large(
         step8 = 1 << (r - 3)
         # sqrt(2) * omega^h = zeta_8^(h+1) - zeta_8^(h+3), a quarter turn apart
         pairs = ((e + (h + 1) * step8, coeff), (e + (h + 3) * step8, -coeff))
-        cf = _closed(CASE_LARGE_ODD, r, pairs, x0, lam, h, 0)
+        cf = _closed(CASE_LARGE_ODD, r, pairs, x0, lam, h)
     if cf.magnitude_halves != m + n + 2 * t + 2 * min(1, t):
         raise AssertionError("magnitude disagrees with the regime formula")
     return cf
@@ -403,10 +402,9 @@ def _collapse(
     chi1: Character,
     chi2: Character,
     witnesses: tuple[tuple[int, int], ...],
-    scale_log2: int = 0,
 ) -> ClosedForm:
     """Sum of 2^shift * chi1(x) * chi2(A x^k + B) over witnesses (x, shift), x = +-1,
-    assembled by _closed, as evaluate_large's terms are."""
+    assembled by _closed, as evaluate_large's terms are, with scale_log2 0."""
     m = inst.m
     r = ring_exponent_for(m)
     A, B = inst.A, inst.B
@@ -417,11 +415,12 @@ def _collapse(
         y = B - A if x == -1 else B + A
         e, s = char_exp(chi2, y & ((1 << m) - 1), r)
         pairs.append((e, (s if x == 1 else chi1.s * s) << shift))
-    return _closed(case, r, pairs, None, None, None, scale_log2)
+    return _closed(case, r, pairs, None, None, None)
 
 
 def _rescale(inner: ClosedForm, outer_m: int, scale_log2: int) -> ClosedForm:
-    """Lift a reduced-modulus result into the original ring and multiplicity."""
+    """Lift a reduced result into the original ring and multiplicity 2^scale_log2,
+    the one writer of a nonzero scale_log2 (the four-term sum keeps its ring)."""
     r = ring_exponent_for(outer_m)
     f = 1 << (r - inner.ring_exponent)
     terms = tuple((e * f, c << scale_log2) for e, c in inner.terms)
@@ -439,13 +438,11 @@ def closed_form(inst: SumInstance, chi1: Character, chi2: Character) -> ClosedFo
         return _ZEROS[zero_case, ring_exponent_for(inst.m)]
     if kind == "direct":
         # both characters live mod 4: x = -1 repeats the x = +1 term or cancels it
-        both = ((1, n_inst.m - 2), (-1, n_inst.m - 2))
-        return _collapse(CASE_REDUCED, n_inst, n_chi1, n_chi2, both, scale_log2)
-    params = derive(n_inst)
-    if params.regime == REGIME_LARGE:
-        cf = evaluate_large(n_inst, n_chi1, n_chi2, params)
+        cf = _collapse(CASE_REDUCED, n_inst, n_chi1, n_chi2, ((1, 0), (-1, 0)))
     else:
-        cf = evaluate_small(n_inst, n_chi1, n_chi2, params)
+        params = derive(n_inst)
+        evaluate = evaluate_large if params.regime == REGIME_LARGE else evaluate_small
+        cf = evaluate(n_inst, n_chi1, n_chi2, params)
     if scale_log2:
         cf = _rescale(cf, inst.m, scale_log2)
     return cf

@@ -35,7 +35,7 @@ from charsum.evaluator import (
     normalize,
     ring_exponent_for,
 )
-from charsum.oracle import brute_force
+from charsum.oracle import brute_force, brute_terms
 from charsum.ring2adic import dlog5, v2
 from charsum.sweep import sample_records
 from ringref import (
@@ -313,17 +313,27 @@ def test_normalize_matches_the_step_by_step_reference():
 
 
 def test_normalize_direct_mod4_path():
-    # both characters are principal/sign-only: four-term direct summation
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            inst = SumInstance(6, 4, 3, 3)
-            chi1, chi2 = Character(6, s1, 16), Character(6, s2, 16)
-            norm = normalize(inst, chi1, chi2)
-            assert norm.kind == "direct"
-            cf = closed_form(inst, chi1, chi2)
-            val = cf.value()
-            assert cf.case == CASE_REDUCED and cf.scale_log2 == 4
-            assert val == brute_force(inst, chi1, chi2)
+    # both characters live mod 4 (c = 2^(m-2)): a four-term sum over x = +-1,
+    # lifted by 2^(m-2), in both parity orders, for odd and even k, every sign pair
+    rng = random.Random(35)
+    values = Counter()
+    for m in range(3, 23):  # m = 3..26 would take about 1 s
+        mod, q = 1 << m, 1 << (m - 2)
+        for odd_a in (False, True):
+            for k in (rng.randrange(1, 64, 2), rng.randrange(1, 64, 2) << rng.randrange(1, 4)):
+                even, odd = rng.randrange(0, mod, 2), rng.randrange(1, mod, 2)
+                inst = SumInstance(m, *((odd, even) if odd_a else (even, odd)), k)
+                for s1 in (1, -1):
+                    for s2 in (1, -1):
+                        chi1, chi2 = Character(m, s1, q), Character(m, s2, q)
+                        assert normalize(inst, chi1, chi2).kind == "direct"
+                        cf = closed_form(inst, chi1, chi2)
+                        assert cf.case == CASE_REDUCED and cf.scale_log2 == m - 2
+                        assert cf.ring_exponent == ring_exponent_for(m)
+                        assert cf.terms == brute_terms(inst, chi1, chi2), (inst, s1, s2)
+                        values[len(cf.terms)] += 1
+    # x = -1 cancels x = +1 as often as it repeats it
+    assert values == {0: 160, 1: 160}
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +405,8 @@ def test_evaluate_large_refuses_a_witness_off_the_congruence():
         evaluate_large(inst, chi1, chi2, derive(inst), x0=x0)
 
 
-def _assemble(r, pairs, scale_log2=0):
-    return charsum.evaluator._closed(CASE_REDUCED, r, pairs, None, None, None, scale_log2)
+def _assemble(r, pairs):
+    return charsum.evaluator._closed(CASE_REDUCED, r, pairs, None, None, None)
 
 
 @pytest.mark.parametrize("r, pairs, match", [
@@ -414,9 +424,9 @@ def test_magnitude_self_check_refuses_values_no_regime_produces(r, pairs, match)
 
 def test_closed_cancels_x_minus_one_against_x_plus_one():
     # zeta^19 = -zeta^3 in ring 2^5: the two contributions cancel after the fold
-    cf = _assemble(5, ((3, 4), (19, 4)), scale_log2=2)
+    cf = _assemble(5, ((3, 4), (19, 4)))
     assert cf.terms == () and cf.magnitude_halves is None
-    assert (cf.case, cf.ring_exponent, cf.scale_log2) == (CASE_REDUCED, 5, 2)
+    assert (cf.case, cf.ring_exponent, cf.scale_log2) == (CASE_REDUCED, 5, 0)
 
 
 def test_closed_merges_a_repeated_term():
