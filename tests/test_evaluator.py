@@ -332,7 +332,7 @@ def test_normalize_direct_mod4_path():
                         assert cf.ring_exponent == ring_exponent_for(m)
                         assert cf.terms == brute_terms(inst, chi1, chi2), (inst, s1, s2)
                         values[len(cf.terms)] += 1
-    # x = -1 cancels x = +1 as often as it repeats it
+    # per instance and chi2, one sign of chi1 cancels x = -1 against x = +1
     assert values == {0: 160, 1: 160}
 
 
