@@ -74,6 +74,8 @@ MUTANTS = [
            "        elif e2 != e1:\n",
            "_closed takes any two distinct exponents for a quarter turn and "
            "squares them as c1^2 + c2^2"),
+    Mutant("F2", EVALUATOR, "    __slots__ = ()\n\n    def value(self)", "    def value(self)",
+           "ClosedForm loses __slots__ = (): its records get a __dict__ and take new attributes"),
     Mutant("F1", FROZEN, "    def __ne__(self, other) -> bool:\n"
            "        # tuple's own __ne__ ignores the type as well\n"
            "        return other.__class__ is not self.__class__ or tuple.__ne__(self, other)\n\n",
@@ -81,13 +83,13 @@ MUTANTS = [
            "equals a plain tuple of its fields"),
     Mutant("D1", RING2ADIC, ", tail, h - 2\n", ", tail, h - 1\n",
            "dlog5 shifts its linear tail by h - 1 bits, not h - 2"),
-    Mutant("S1", SWEEP, "        run = recs[i : i + _PHASE]\n        cfs, matches, tc, tb",
-           "        run = recs[i : i + _PHASE - 1]\n        cfs, matches, tc, tb",
-           "check's phase runs slice one record short"),
-    Mutant("S2", SWEEP, "zip(recs, cfs, wants)", "zip(recs, cfs, [wants[0]] * len(wants))",
+    Mutant("S1", SWEEP, "        run = recs[i : i + _PHASE]\n",
+           "        run = recs[i : i + _PHASE - 1]\n",
+           "_compare's phase runs slice one record short"),
+    Mutant("S2", SWEEP, "zip(run, cfs, wants)", "zip(run, cfs, [wants[0]] * len(wants))",
            "every record of a phase run is compared with the run's first oracle value"),
     Mutant("S3", SWEEP, "            if cf.case in (CASE_LARGE_EVEN, CASE_LARGE_ODD):",
-           "            if i == 0 and cf.case in (CASE_LARGE_EVEN, CASE_LARGE_ODD):",
+           "            if t_brute == tb and cf.case in (CASE_LARGE_EVEN, CASE_LARGE_ODD):",
            "the magnitude check reads only the first phase run of a part"),
     Mutant("O1", ORACLE, "p = max((m - n + 1) // 2 - 2 - t, 0)",
            "p = max((m - n + 1) // 2 - 3 - t, 0)",
@@ -99,6 +101,8 @@ MUTANTS = [
     Mutant("O3", ORACLE, "cnt[key ^ lsb] += rows[key] * (per_row * lsb >> r) * weight",
            "cnt[key ^ lsb] += (per_row * lsb >> r) * weight",
            "the class tally counts each residue class once, however many rows it holds"),
+    Mutant("V2", CYCLOTOMIC, '"approx": {"re": re, "im": im}', '"approx": {"re": im, "im": re}',
+           "value_json writes the imaginary part as re and the real part as im"),
     Mutant("C1", CYCLOTOMIC, "        for e, x in terms:\n            coeffs[e] = x\n",
            "        for e, x in terms[:-1]:\n            coeffs[e] = x\n",
            "CycInt.from_terms drops its last term"),

@@ -15,7 +15,7 @@ import time
 from collections.abc import Iterable
 
 from .characters import Character
-from .cyclotomic import approx_terms, ring_exponent_for, terms_json
+from .cyclotomic import ring_exponent_for, value_json
 from .errors import MAX_M, MAX_ORACLE_M, MAX_SWEEP_TERMS, WidthCapError, record_terms
 from .evaluator import ClosedForm, SumInstance, closed_form
 
@@ -118,8 +118,7 @@ def cmd_eval(args) -> int:
 
         r = ring_exponent_for(inst.m)
         terms = brute_terms(inst, chi1, chi2)
-        re, im = approx_terms(r, terms)
-        doc["oracle"] = {"value": terms_json(r, terms), "approx": {"re": re, "im": im}}
+        doc["oracle"] = value_json(r, terms)
     if args.method == "both":
         match = cf.ring_exponent == r and cf.terms == terms
         doc["match"] = match

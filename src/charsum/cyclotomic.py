@@ -7,11 +7,12 @@ Values are kept sparse, as sorted (exponent, coeff) pairs with nonzero
 coefficients: the closed form's terms and the summation oracle's
 `brute_terms` have that shape, so their equality is tuple equality, and the
 helpers here square, print and approximate such terms without densifying
-them.  `abs2_terms` squares any term list, for the sweep's magnitude check
-(criterion 3); the closed form squares its one or two terms itself.  CycInt
-is the dense form, for `ClosedForm.value()` and the oracle's `brute_force`
-and `half_sum` views; all three expand their terms through
-`CycInt.from_terms`, the one sparse-to-dense expansion in the package.
+them: `value_json` writes both sides of `eval`.  `abs2_terms` squares any
+term list, for the sweep's magnitude check (criterion 3); the closed form
+squares its one or two terms itself.  CycInt is the dense form, for
+`ClosedForm.value()` and the oracle's `brute_force` and `half_sum` views;
+all three expand their terms through `CycInt.from_terms`, the one
+sparse-to-dense expansion in the package.
 """
 
 from __future__ import annotations
@@ -46,9 +47,13 @@ class CycInt(Frozen, namedtuple("CycInt", "r coeffs")):
         return cls(r, tuple(coeffs))
 
 
-def terms_json(r: int, terms) -> dict:
-    """JSON form of a ring value: its nonzero (exponent, coeff) pairs, ascending."""
-    return {"ring_exponent": r, "terms": [[e, x] for e, x in terms]}
+def value_json(r: int, terms) -> dict:
+    """A ring value's two JSON entries: "value", its nonzero (exponent, coeff)
+    pairs, ascending, and "approx", its double-precision complex value."""
+    terms = list(terms)  # read twice, and callers may pass a generator
+    re, im = approx_terms(r, terms)
+    return {"value": {"ring_exponent": r, "terms": [[e, x] for e, x in terms]},
+            "approx": {"re": re, "im": im}}
 
 
 def abs2_terms(r: int, terms) -> dict[int, int]:

@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .characters import Character, SumInstance, char_exp
-from .cyclotomic import CycInt, approx_terms, ring_exponent_for, terms_json
+from .cyclotomic import CycInt, ring_exponent_for, value_json
 from .errors import MAX_M
 from .frozen import Frozen
 from .ring2adic import cofactor_ratio, dlog5, jacobi2
@@ -91,11 +91,7 @@ class ClosedForm(Frozen, namedtuple(
         """Dense ring element; costs O(2^(r-1)) to materialize."""
         return CycInt.from_terms(self.ring_exponent, self.terms)
 
-    def approx(self) -> tuple[float, float]:
-        return approx_terms(self.ring_exponent, self.terms)
-
     def to_json_dict(self) -> dict:
-        re, im = self.approx()
         return {
             "case": self.case,
             "magnitude_halves": self.magnitude_halves,
@@ -103,8 +99,7 @@ class ClosedForm(Frozen, namedtuple(
             "lambda_parity": self.lambda_parity,
             "h": self.h,
             "scale_log2": self.scale_log2,
-            "value": terms_json(self.ring_exponent, self.terms),
-            "approx": {"re": re, "im": im},
+            **value_json(self.ring_exponent, self.terms),
         }
 
 

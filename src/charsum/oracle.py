@@ -186,9 +186,9 @@ def _counts(
     return cnt
 
 
-def _fold(cnt: array, half: int) -> _Terms:
-    """The nonzero cnt[e] - cnt[e + half] for e < half, as (e, coeff) pairs by
-    ascending e: the count vector folded onto the power basis.
+def _fold(cnt: array) -> _Terms:
+    """The nonzero cnt[e] - cnt[e + half] for e < half = len(cnt) / 2, as
+    (e, coeff) pairs by ascending e: the count vector folded onto the power basis.
 
     The slot ranges [a, b) are taken depth first, lowest first, from [0, half).
     A range of at most _SPAN pairs is compared with its image [a + half,
@@ -198,6 +198,7 @@ def _fold(cnt: array, half: int) -> _Terms:
     So every slot pair is compared exactly, and no range is dropped without an
     equality test or assumed to hold zeros.
     """
+    half = len(cnt) >> 1
     terms: list[tuple[int, int]] = []
     todo = [(0, half)]
     while todo:
@@ -219,8 +220,7 @@ def _sum(
     """weight * the sum over halves: _counts' weighted count vector, folded onto the power basis."""
     if weight == 0 or (inst.A + inst.B) % 2 == 0:
         return ()
-    cnt = _counts(inst, chi1, chi2, halves, weight)
-    return _fold(cnt, len(cnt) >> 1)
+    return _fold(_counts(inst, chi1, chi2, halves, weight))
 
 
 def brute_terms(inst: SumInstance, chi1: Character, chi2: Character) -> _Terms:

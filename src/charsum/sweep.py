@@ -3,14 +3,15 @@
 A record is the flat tuple (m, A, B, k, c1, s1, c2, s2).  Comparing a record
 means evaluating the closed form, summing the oracle, and comparing the
 closed form's ring and sparse terms with the oracle's (`brute_terms`; no
-dense vector is built on either side).  `_compare` does this for a phase
-run of at most _PHASE consecutive records, in three passes: every closed
-form of the run, then every oracle sum, then the compares, so the two
-computations do not alternate record by record.  Its two sinks take records
-lazily, one block of _BLOCK at a time, and walk each part of a block one
-phase run at a time: `run_check` adds up a report (and checks Large-regime
-results' squared magnitude, a sparse product of the matched terms, against
-the regime formula), `write_grid` writes CSV rows in record order.
+dense vector is built on either side).  `_compare` walks its records in
+phase runs of at most _PHASE consecutive records, each in three passes:
+every closed form of the run, then every oracle sum, then the compares, so
+the two computations do not alternate record by record.  Its two sinks take
+records lazily, one block of _BLOCK at a time, and read the runs `_compare`
+yields for each part of a block: `run_check` adds up a report (and checks
+Large-regime results' squared magnitude, a sparse product of the matched
+terms, against the regime formula), `write_grid` writes CSV rows in record
+order.
 Sampling is seeded and single-streamed, so reports are reproducible and
 independent of the worker count.  `sample_records` yields its records one at
 a time, as `exhaustive_records` does, rotating through aimed case shapes;
@@ -40,7 +41,7 @@ from collections.abc import Iterable, Iterator
 from itertools import islice, starmap
 
 from .characters import Character, SumInstance
-from .cyclotomic import abs2_terms, ring_exponent_for
+from .cyclotomic import abs2_terms, approx_terms, ring_exponent_for
 from .errors import record_terms
 from .evaluator import CASE_LARGE_EVEN, CASE_LARGE_ODD, characteristic_value, closed_form
 from .oracle import brute_terms
@@ -99,23 +100,26 @@ class CheckReport:
         }
 
 
-def _compare(recs: list[Record]) -> tuple:
-    """Closed form and oracle on one phase run of records, in three passes:
-    (cfs, matches, closed_s, oracle_s), the lists in record order."""
-    args = [
-        (SumInstance(m, a, b, k), Character(m, s1, c1), Character(m, s2, c2))
-        for m, a, b, k, c1, s1, c2, s2 in recs
-    ]
-    t0 = time.perf_counter()
-    cfs = list(starmap(closed_form, args))
-    t1 = time.perf_counter()
-    wants = list(starmap(brute_terms, args))
-    t2 = time.perf_counter()
-    matches = [
-        cf.ring_exponent == ring_exponent_for(rec[0]) and cf.terms == want
-        for rec, cf, want in zip(recs, cfs, wants)
-    ]
-    return cfs, matches, t1 - t0, t2 - t1
+def _compare(recs: list[Record]) -> Iterator[tuple]:
+    """Closed form and oracle on recs, one phase run of at most _PHASE
+    records at a time, each in three passes: yields (run, cfs, matches,
+    closed_s, oracle_s) per run, the lists in record order."""
+    for i in range(0, len(recs), _PHASE):
+        run = recs[i : i + _PHASE]
+        args = [
+            (SumInstance(m, a, b, k), Character(m, s1, c1), Character(m, s2, c2))
+            for m, a, b, k, c1, s1, c2, s2 in run
+        ]
+        t0 = time.perf_counter()
+        cfs = list(starmap(closed_form, args))
+        t1 = time.perf_counter()
+        wants = list(starmap(brute_terms, args))
+        t2 = time.perf_counter()
+        matches = [
+            cf.ring_exponent == ring_exponent_for(rec[0]) and cf.terms == want
+            for rec, cf, want in zip(run, cfs, wants)
+        ]
+        yield run, cfs, matches, t1 - t0, t2 - t1
 
 
 def _check_chunk(recs: list[Record]) -> tuple:
@@ -123,9 +127,7 @@ def _check_chunk(recs: list[Record]) -> tuple:
     mismatches: list[Record] = []
     mag_bad: list[Record] = []
     t_closed = t_brute = 0.0
-    for i in range(0, len(recs), _PHASE):
-        run = recs[i : i + _PHASE]
-        cfs, matches, tc, tb = _compare(run)
+    for run, cfs, matches, tc, tb in _compare(recs):
         t_closed += tc
         t_brute += tb
         for rec, cf, match in zip(run, cfs, matches):
@@ -486,11 +488,9 @@ def _grid_chunk(recs: list[Record]) -> tuple[str, int, int]:
     """The CSV lines of the records, their count, and how many mismatch."""
     rows = []
     bad = 0
-    for i in range(0, len(recs), _PHASE):
-        run = recs[i : i + _PHASE]
-        cfs, matches, _, _ = _compare(run)
+    for run, cfs, matches, _, _ in _compare(recs):
         for (m, a, b, k, c1, s1, c2, s2), cf, match in zip(run, cfs, matches):
-            re, im = cf.approx()
+            re, im = approx_terms(cf.ring_exponent, cf.terms)
             mag = "" if cf.magnitude_halves is None else str(cf.magnitude_halves)
             rows.append(
                 f"{m},{a},{b},{k},{c1},{s1},{c2},{s2},{cf.case},{mag},"

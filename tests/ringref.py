@@ -7,13 +7,16 @@ need more: products, conjugates, sqrt(2), character values as ring elements,
 the principal and mod-4 sign characters, a primitivity test, the character
 algebra (products, conjugates, powers, conductors, induced characters), the
 step-by-step normalization it supports, a per-x count of a sum's terms that
-shares no code with the oracle's summation loop, and the complete solution
-set of the characteristic congruence, so that identities can be checked
-exactly and the closed form's shortcuts can be compared against a plain
-enumeration.  Those references live here.
+shares no code with the oracle's summation loop, a third exact sum in
+x-space (`fiber_terms`) that shares no code with either, and the complete
+solution set of the characteristic congruence, so that identities can be
+checked exactly and the closed form's shortcuts can be compared against a
+plain enumeration.  Those references live here.
 """
 
 from __future__ import annotations
+
+from collections import Counter
 
 from charsum.characters import Character, char_exp
 from charsum.cyclotomic import CycInt, ring_exponent_for
@@ -267,3 +270,65 @@ def solve_characteristic(
                 f"solution frontier {len(sols)} exceeds cap {cap}: solver invariant broken"
             )
     return m_exp, tuple(sorted(sols))
+
+
+
+
+
+def _fiber_log(y: int, mask: int, steps) -> tuple[int, int]:
+    """(eps, 4 gamma mod 2^(2 + len(steps))) with y = (-1)^eps 5^gamma
+    (mod 2^m), for odd y and mask = 2^m - 1.
+
+    Bit i of gamma fixes 5^gamma mod 2^(i+3), as 5^(2^i) = 1 + 2^(i+2)
+    (mod 2^(i+3)): once y = 1 (mod 2^(i+2)), bit i + 2 of y is bit i of
+    gamma, and y * 5^(-2^i) clears it.  steps holds (2^(i+2), 5^(-2^i)
+    mod 2^m) by ascending i, for as many bits as the caller reads.
+    """
+    eps = y >> 1 & 1  # y = 3 (mod 4) is -5^gamma
+    if eps:
+        y = -y & mask
+    gamma = 0
+    for bit, inv in steps:
+        if y & bit:
+            y = y * inv & mask
+            gamma += bit
+    return eps, gamma
+
+
+def fiber_terms(inst: SumInstance, chi1: Character, chi2: Character) -> tuple:
+    """The sum as brute_terms gives it, by stationary phase in x itself.
+
+    With j = max(ceil(m/2), 2), each odd x is x0 (1 + 2^j z) for one odd
+    x0 < 2^j and one z mod 2^(m-j).  As 2j >= m, (1 + 2^j z)^k = 1 + 2^j k z
+    (mod 2^m) and z -> 1 + 2^j z is a homomorphism from Z/2^(m-j), so with
+    f(x) = A x^k + B (odd when A + B is odd) the fiber of x0 contributes
+    chi1(x0) chi2(f(x0)) times a sum over z of one additive character of
+    Z/2^(m-j): 2^(m-j) when c1 f(x0) + c2 k A x0^k = 0 (mod 2^(m-j)), else 0.
+    Every character value comes from _fiber_log, never from the package's
+    logs, and the inputs are read as given, with no normalization.
+    """
+    m, a, b, k = inst
+    if (a + b) % 2 == 0:
+        return ()
+    r = ring_exponent_for(m)
+    mask, half = (1 << m) - 1, 1 << (r - 1)
+    j = max((m + 1) // 2, 2)
+    fmask = (1 << (m - j)) - 1
+    u, w = a * (chi1.c + k * chi2.c), chi1.c * b  # c1 f(x) + c2 k A x^k = u x^k + w
+    steps = [(4 << i, pow(5, -1 << i, mask + 1)) for i in range(m - 2)]
+    # chi(y) = s^eps zeta_{2^r}^(c gamma 2^(r-m+2)) reads m - 2 - v2(c) bits of gamma
+    steps1 = steps[: m - 1 - (chi1.c & -chi1.c).bit_length()]
+    steps2 = steps[: m - 1 - (chi2.c & -chi2.c).bit_length()]
+    turn1, turn2 = (half if chi.s == -1 else 0 for chi in (chi1, chi2))
+    cnt: Counter = Counter()
+    for x0, xk in [
+        (x, xk) for x in range(1, 1 << j, 2) if not (u * (xk := pow(x, k, mask + 1)) + w) & fmask
+    ]:
+        eps1, g1 = _fiber_log(x0, mask, steps1)
+        eps2, g2 = _fiber_log((a * xk + b) & mask, mask, steps2)
+        e = (chi1.c * g1 + chi2.c * g2 << r >> m) + (turn1 if eps1 else 0) + (turn2 if eps2 else 0)
+        cnt[e & (2 * half - 1)] += 1
+    coeffs: Counter = Counter()
+    for e, n in cnt.items():
+        coeffs[e & (half - 1)] += -n if e & half else n
+    return tuple((e, x << (m - j)) for e, x in sorted(coeffs.items()) if x)

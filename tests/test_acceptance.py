@@ -5,10 +5,12 @@ criterion 8."""
 
 import random
 import time
+from collections import Counter
 
 import pytest
 
 from charsum.characters import Character
+from charsum.cyclotomic import ring_exponent_for
 from charsum.cli import best_closed_time
 from charsum.evaluator import (
     CASE_LARGE_EVEN,
@@ -31,6 +33,7 @@ from charsum.sweep import (
 from ringref import (
     add,
     counted_sum,
+    fiber_terms,
     from_int,
     mul,
     root_of_unity,
@@ -309,4 +312,59 @@ def test_criterion_9_normalization_soundness():
     _report(
         9, "hypothesis-violating instances match the oracle", ok,
         f"{report.instances_checked} instances, {len(report.mismatches)} mismatches",
+    )
+
+
+# criterion 14's sampled records per m, fewer as m grows: a fiber sum costs
+# at most 5 ms at m = 21, 22 and 10 ms at m = 23, 24, but up to 0.1-0.2 s at
+# m = 29, 30, where all 2^(j-1) fibers can be stationary
+FIBER_SAMPLES = {21: 52, 22: 52, 23: 26, 24: 26, 25: 13, 26: 13, 27: 6, 28: 6, 29: 6, 30: 6}
+
+
+def fiber_aims(seed: int, m: int) -> list[Record]:
+    """One record of each shape criterion 14 aims at, at modulus 2^m (m >= 11):
+    the four-term sum (both characters mod 4); Tiny with chi1 the mod-4 sign
+    character; odd A with even B and even k, the swap of a LargeKeven
+    record, with either sign of chi1; and A = 0 with a principal chi1, so the
+    sum is not zero."""
+    rng = random.Random(seed * 100 + m)
+    mod, cmax = 1 << m, 1 << (m - 2)
+    four = (m, rng.randrange(0, mod, 2), rng.randrange(1, mod, 2), rng.randint(1, 24),
+            cmax, rng.choice((1, -1)), cmax, rng.choice((1, -1)))
+    tiny = _aimed_record(rng, m, "Tiny")
+    # conj(chi1 * chi2^k) = (s1, c1') after the swap, as s2^k = 1
+    _, a, b, k, c1, _, c2, s2 = _aimed_record(rng, m, "LargeKeven")
+    swap = (m, b, a, k, (-c1 - k * c2) % cmax or cmax, rng.choice((1, -1)), c2, s2)
+    zero_a = (m, 0, rng.randrange(1, mod, 2), rng.randint(1, 24), cmax, 1,
+              rng.randint(1, cmax), rng.choice((1, -1)))
+    return [four, (*tiny[:4], cmax, -1, *tiny[6:]), swap, zero_a]
+
+
+def test_criterion_14_fiber_sums_to_m_30():
+    # the fiber sum reads each record as given and takes its own logs: it
+    # shares only the record checks and ring_exponent_for with the closed form
+    records = [
+        rec for m in range(21, 31)
+        for rec in (*sample_records(1014, m, m, FIBER_SAMPLES[m]), *fiber_aims(1014, m))
+    ]
+    bad: list[Record] = []
+    nonzero: Counter = Counter()
+    tags: Counter = Counter()
+    t0 = time.perf_counter()
+    for m, a, b, k, c1, s1, c2, s2 in records:
+        inst, chi1, chi2 = SumInstance(m, a, b, k), Character(m, s1, c1), Character(m, s2, c2)
+        cf = closed_form(inst, chi1, chi2)
+        want = fiber_terms(inst, chi1, chi2)
+        if cf.ring_exponent != ring_exponent_for(m) or cf.terms != want:
+            bad.append((m, a, b, k, c1, s1, c2, s2))
+        nonzero[m] += bool(want)
+        tags[cf.case] += 1
+    elapsed = time.perf_counter() - t0
+    ok = not bad and all(nonzero[m] for m in range(21, 31)) and set(tags) == {
+        *REGIME_TAGS, "Reduced",
+    }
+    _report(
+        14, "closed form against the fiber sum at m=21..30", ok,
+        f"{len(records)} instances, {sum(nonzero.values())} nonzero, {len(tags)} case tags, "
+        f"{len(bad)} mismatches, {elapsed:.1f}s",
     )

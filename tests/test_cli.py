@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import math
 import multiprocessing
 import os
 import shlex
@@ -41,6 +42,22 @@ def test_eval_both_matches(capsys):
     assert set(doc["closed_form"]) == {
         "case", "magnitude_halves", "x0", "lambda_parity", "h", "scale_log2", "value", "approx",
     }
+
+
+def test_eval_approx_is_the_value_in_floats(capsys):
+    # 16 zeta_32^3 on both sides: re and im in that order, each within 1e-9
+    code, out = run_cli(
+        capsys, "eval", "--m", "7", "--A", "2", "--B", "1", "--k", "1",
+        "--c1", "2", "--c2", "1", "--method", "both",
+    )
+    doc = json.loads(out)
+    assert code == 0
+    want = (16 * math.cos(3 * math.pi / 16), 16 * math.sin(3 * math.pi / 16))
+    for side in ("closed_form", "oracle"):
+        assert doc[side]["value"] == {"ring_exponent": 5, "terms": [[3, 16]]}
+        approx = doc[side]["approx"]
+        assert list(approx) == ["re", "im"]
+        assert abs(approx["re"] - want[0]) < 1e-9 and abs(approx["im"] - want[1]) < 1e-9
 
 
 def test_eval_zero_parity(capsys):
@@ -665,11 +682,11 @@ def test_compare_rejects_each_kind_of_wrong_value(monkeypatch, ring, terms):
     # a LargeOdd record worth -16 zeta^4 + 16 zeta^12 in Z[zeta_32]; its
     # closed form is replaced by a wrong value and compared with the real oracle
     rec = (7, 28, 115, 15, 4, 1, 25, -1)
-    (cf,), (match,), _, _ = charsum.sweep._compare([rec])
+    _, (cf,), (match,), _, _ = next(charsum.sweep._compare([rec]))
     assert match and cf.ring_exponent == 5 and cf.terms == ((4, -16), (12, 16))
     wrong = cf._replace(ring_exponent=ring, terms=terms)
     monkeypatch.setattr(charsum.sweep, "closed_form", lambda *args: wrong)
-    assert charsum.sweep._compare([rec])[1][0] is False
+    assert next(charsum.sweep._compare([rec]))[2][0] is False
 
 
 def test_check_flags_wrong_magnitude(capsys, monkeypatch):

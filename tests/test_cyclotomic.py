@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from charsum.cyclotomic import CycInt, approx_terms, terms_json
+from charsum.cyclotomic import CycInt, approx_terms, value_json
 from ringref import add, conj, from_int, mul, root_of_unity, scalar_mul, sqrt2, zero
 
 
@@ -97,9 +97,9 @@ def test_approx_examples():
 
 
 def _json(a):
-    """terms_json of a dense value's nonzero coefficients, as ClosedForm and
-    `charsum eval` write a ring value."""
-    return terms_json(a.r, ((j, x) for j, x in enumerate(a.coeffs) if x))
+    """The "value" entry value_json writes for a dense value's nonzero
+    coefficients, as ClosedForm and `charsum eval` write a ring value."""
+    return value_json(a.r, ((j, x) for j, x in enumerate(a.coeffs) if x))["value"]
 
 
 def test_json_round_trip():

@@ -30,11 +30,13 @@ from charsum.oracle import (
     brute_terms,
     half_sum,
 )
-from charsum.sweep import sample_records
+from charsum.sweep import exhaustive_records, sample_records
+import ringref
 from ringref import (
     add,
     counted_sum,
     eval_char,
+    fiber_terms,
     from_int,
     mul,
     per_x_counts,
@@ -536,7 +538,7 @@ def test_fold_matches_plain_fold_on_hand_made_vectors(half, where):
         "nowhere": [],
     }[where]
     cnt = _differing(half, [e for e in slots if e < half])
-    got = _fold(cnt, half)
+    got = _fold(cnt)
     assert got == _plain_fold(cnt)
     assert [e for e, _ in got] == sorted(e for e in set(slots) if e < half)
 
@@ -552,7 +554,7 @@ def test_fold_matches_plain_fold_on_sampled_records():
         for halves in (((a, 0),), ((a, 0), minus)):
             cnt = _counts(inst, chi1, chi2, halves, 1)
             want = _plain_fold(cnt)
-            assert _fold(cnt, len(cnt) >> 1) == want, rec
+            assert _fold(cnt) == want, rec
             seen.add((m > 16, bool(want)))
         if k % 2:
             assert brute_terms(inst, chi1, chi2) == want, rec
@@ -574,7 +576,7 @@ def count_vectors(draw):
 
 @given(count_vectors())
 def test_fold_matches_plain_fold_on_random_vectors(cnt):
-    assert _fold(cnt, len(cnt) >> 1) == _plain_fold(cnt)
+    assert _fold(cnt) == _plain_fold(cnt)
 
 
 def test_largest_slot_count_fits_the_count_vector():
@@ -706,6 +708,28 @@ def test_closed_form_never_calls_the_oracle():
 
 
 # ---------------------------------------------------------------------------
+# the fiber sum, a third exact route, against the oracle
+
+
+def test_fiber_terms_matches_brute_terms_on_the_whole_small_grids():
+    records = [rec for m in (3, 4) for rec in exhaustive_records(m)]
+    bad = [rec for rec in records if fiber_terms(*_inputs(rec)) != brute_terms(*_inputs(rec))]
+    assert len(records) == 60_928 and not bad
+
+
+def test_fiber_terms_matches_brute_terms_on_sampled_records():
+    seen, bad = set(), []
+    for rec in sample_records(1016, 5, 20, 1000):
+        want = brute_terms(*_inputs(rec))
+        if fiber_terms(*_inputs(rec)) != want:
+            bad.append(rec)
+        seen.add((rec[0], bool(want)))
+    assert not bad
+    # every m = 5..20 is reached, and with a nonzero sum
+    assert {m for m, nonzero in seen if nonzero} == set(range(5, 21))
+
+
+# ---------------------------------------------------------------------------
 # what both sides of each acceptance criterion share
 
 
@@ -734,6 +758,7 @@ _ROUTES = {
     "brute_force": lambda rec: brute_force(*_inputs(rec)),
     "half_sum": lambda rec: [half_sum(*_inputs(rec), sign) for sign in (1, -1)],
     "ringref.counted_sum": _counted_halves,
+    "ringref.fiber_terms": lambda rec: fiber_terms(*_inputs(rec)),
 }
 
 _CHECKS = {("charsum.characters", "SumInstance.__new__"), ("charsum.characters", "Character.__new__")}
@@ -754,6 +779,7 @@ SHARED = (
     (4, "half_sum", "ringref.counted_sum", _CHECKS | _RING | _CYCINT, set()),
     (8, "ClosedForm.value", "brute_force", _CHECKS | _RING | _DENSE, set()),
     (9, "closed_form", "brute_terms", _CHECKS | _RING, _SWEEP),
+    (14, "closed_form", "ringref.fiber_terms", _CHECKS | _RING, set()),
 )
 
 
@@ -803,14 +829,21 @@ def test_both_sides_share_exactly_the_readme_column():
 def test_shared_code_check_sees_an_oracle_that_calls_char_exp(monkeypatch):
     # teeth: an oracle that takes one log per count vector from char_exp
     # shares it (and dlog5) with the closed form and with the per-x count,
-    # and every row of the check reports it
-    counts = oracle._counts
+    # and so does a fiber sum that takes a log from char_exp: every row of
+    # the check reports it, criterion 14's for the fiber sum alone
+    counts, fiber_log = oracle._counts, ringref._fiber_log
 
     def leaky_counts(inst, chi1, chi2, halves, weight):
         char_exp(chi2, 1, ring_exponent_for(inst.m))
         return counts(inst, chi1, chi2, halves, weight)
 
+    def leaky_log(y, mask, steps):
+        m = mask.bit_length()
+        char_exp(Character(m, 1, 1), y, ring_exponent_for(m))
+        return fiber_log(y, mask, steps)
+
     monkeypatch.setattr(oracle, "_counts", leaky_counts)
+    monkeypatch.setattr(ringref, "_fiber_log", leaky_log)
     mismatches = _shared_calls(_SHARED_RECORDS)[1]
     assert len(mismatches) == len(SHARED)
     assert all(("charsum.characters", "char_exp") in shared for *_, shared in mismatches)
