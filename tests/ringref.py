@@ -276,8 +276,8 @@ def solve_characteristic(
 
 
 def _fiber_log(y: int, mask: int, steps) -> tuple[int, int]:
-    """(eps, 4 gamma mod 2^(2 + len(steps))) with y = (-1)^eps 5^gamma
-    (mod 2^m), for odd y and mask = 2^m - 1.
+    """(eps, 4 (gamma mod 2^len(steps))) with y = (-1)^eps 5^gamma (mod 2^m),
+    for odd y and mask = 2^m - 1.
 
     Bit i of gamma fixes 5^gamma mod 2^(i+3), as 5^(2^i) = 1 + 2^(i+2)
     (mod 2^(i+3)): once y = 1 (mod 2^(i+2)), bit i + 2 of y is bit i of
@@ -311,18 +311,19 @@ def fiber_terms(inst: SumInstance, chi1: Character, chi2: Character) -> tuple:
     if (a + b) % 2 == 0:
         return ()
     r = ring_exponent_for(m)
-    mask, half = (1 << m) - 1, 1 << (r - 1)
+    mod, half = 1 << m, 1 << (r - 1)
+    mask = mod - 1
     j = max((m + 1) // 2, 2)
     fmask = (1 << (m - j)) - 1
     u, w = a * (chi1.c + k * chi2.c), chi1.c * b  # c1 f(x) + c2 k A x^k = u x^k + w
-    steps = [(4 << i, pow(5, -1 << i, mask + 1)) for i in range(m - 2)]
+    steps = [(4 << i, pow(5, -1 << i, mod)) for i in range(m - 2)]
     # chi(y) = s^eps zeta_{2^r}^(c gamma 2^(r-m+2)) reads m - 2 - v2(c) bits of gamma
     steps1 = steps[: m - 1 - (chi1.c & -chi1.c).bit_length()]
     steps2 = steps[: m - 1 - (chi2.c & -chi2.c).bit_length()]
     turn1, turn2 = (half if chi.s == -1 else 0 for chi in (chi1, chi2))
     cnt: Counter = Counter()
     for x0, xk in [
-        (x, xk) for x in range(1, 1 << j, 2) if not (u * (xk := pow(x, k, mask + 1)) + w) & fmask
+        (x, xk) for x in range(1, 1 << j, 2) if not (u * (xk := pow(x, k, mod)) + w) & fmask
     ]:
         eps1, g1 = _fiber_log(x0, mask, steps1)
         eps2, g2 = _fiber_log((a * xk + b) & mask, mask, steps2)

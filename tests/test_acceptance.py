@@ -318,7 +318,7 @@ def test_criterion_9_normalization_soundness():
 # criterion 14's sampled records per m, fewer as m grows: a fiber sum costs
 # at most 5 ms at m = 21, 22 and 10 ms at m = 23, 24, but up to 0.1-0.2 s at
 # m = 29, 30, where all 2^(j-1) fibers can be stationary
-FIBER_SAMPLES = {21: 52, 22: 52, 23: 26, 24: 26, 25: 13, 26: 13, 27: 6, 28: 6, 29: 6, 30: 6}
+FIBER_SAMPLES = {21: 52, 22: 52, 23: 26, 24: 26, 25: 13, 26: 13, 27: 6, 28: 6, 29: 3, 30: 3}
 
 
 def fiber_aims(seed: int, m: int) -> list[Record]:
